@@ -9,16 +9,19 @@ cd "$(dirname "$0")/.."
 
 pattern='std::(mutex|shared_mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_timed_mutex|condition_variable|condition_variable_any|lock_guard|unique_lock|shared_lock|scoped_lock)\b'
 allowed='src/common/annotated_mutex.h'
+# The vocabulary has no recursive lock: none is allowed anywhere.
+recursive='std::recursive_(timed_)?mutex\b'
 
 matches=$(grep -rEn "$pattern" src --include='*.h' --include='*.cc' \
   | grep -v "^${allowed}:" || true)
+matches+=$(grep -rEn "$recursive" "$allowed" || true)
 
 if [ -n "$matches" ]; then
   echo "error: raw standard mutex primitives outside ${allowed}:" >&2
   echo "$matches" >&2
   echo >&2
   echo "Use the annotated vocabulary instead (DESIGN.md #13):" >&2
-  echo "  Mutex / SharedMutex / RecursiveMutex  with a LockRank and a name" >&2
+  echo "  Mutex / SharedMutex  with a LockRank and a name" >&2
   echo "  MutexLock / ReaderMutexLock / WriterMutexLock / UniqueMutexLock" >&2
   echo "  CondVar (condition_variable_any over the annotated locks)" >&2
   exit 1

@@ -88,24 +88,24 @@ namespace lock_rank {
 #if defined(FIELDREP_LOCK_RANK_CHECKS)
 
 /// Records an acquisition of `lock` on this thread's held stack, aborting
-/// (with both lock names) if it would invert the rank order.
-///   - `reentrant`: same-instance re-acquisition is legal (recursive mutex).
-///   - `blocking`:  false for try_lock-style acquisitions, which cannot
-///     deadlock and are therefore recorded but not order-checked.
+/// (with both lock names) if it would invert the rank order or re-acquire
+/// a lock the thread already holds. `blocking` is false for try_lock-style
+/// acquisitions, which cannot deadlock and are therefore recorded but not
+/// order-checked.
 void OnAcquire(const void* lock, LockRank rank, const char* name,
-               bool reentrant, bool blocking);
+               bool blocking);
 
 /// Pops the most recent acquisition of `lock`; aborts if it is not held
 /// (an unlock on a thread that never locked is a bug by itself).
 void OnRelease(const void* lock, const char* name);
 
-/// Number of lock acquisitions currently recorded for this thread
-/// (recursive acquisitions count once per level). Test hook.
+/// Number of lock acquisitions currently recorded for this thread. Test
+/// hook.
 size_t HeldCount();
 
 #else
 
-inline void OnAcquire(const void*, LockRank, const char*, bool, bool) {}
+inline void OnAcquire(const void*, LockRank, const char*, bool) {}
 inline void OnRelease(const void*, const char*) {}
 inline size_t HeldCount() { return 0; }
 

@@ -395,10 +395,11 @@ Status Database::WriteOp(const std::string* set_name,
 
 void Database::MaybeAutoCheckpoint() {
   if (wal_ == nullptr || !wal_->needs_auto_checkpoint()) return;
-  // Best-effort: skip when explicit sessions are open (the exclusive
-  // schema lock below would stall until they commit); any failure
-  // surfaces at the next explicit Checkpoint.
-  if (InSessionTransaction()) return;
+  // Best-effort: skip when explicit sessions are open anywhere (the
+  // exclusive schema lock below would stall until they commit) or any
+  // WAL transaction is live (the checkpoint would be refused); any
+  // failure surfaces at the next explicit Checkpoint.
+  if (InSessionTransaction() || wal_->active_transactions() > 0) return;
   (void)Checkpoint();
 }
 
@@ -596,6 +597,12 @@ Status Database::Checkpoint() {
   // anywhere — the no-steal precondition for the pool flush below.
   Status s = AcquireSchemaExclusive(&local);
   if (s.ok()) s = replication_->FlushAllPendingPropagation();
+  if (s.ok() && wal_ != nullptr && wal_->active_transactions() > 0) {
+    // A WAL transaction holding no schema lock (none should exist) would
+    // make the WAL refuse the checkpoint below; refuse before the state
+    // blob is logged, so a failed attempt leaves the log untouched.
+    s = Status::FailedPrecondition("checkpoint with live transactions");
+  }
   if (s.ok()) {
     if (wal_ != nullptr) {
       // The pre-commit hook publishes and writes the state blob inside

@@ -104,7 +104,7 @@ Status LockTable::Acquire(Txn* txn, uint32_t lock_id, Mode mode) {
     // (kSetLock < kLockTable; the table lock is internal plumbing, the
     // set lock is what the transaction semantically holds).
     lock_rank::OnAcquire(granted, LockRank::kSetLock, granted->name.c_str(),
-                         false, true);
+                         /*blocking=*/true);
     txn->held.emplace(lock_id, mode);
     held_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -147,7 +147,7 @@ LockTable::TryOutcome LockTable::TryAcquire(Txn* txn, uint32_t lock_id,
     held_it->second = Mode::kExclusive;
   } else {
     lock_rank::OnAcquire(granted, LockRank::kSetLock, granted->name.c_str(),
-                         false, /*blocking=*/false);
+                         /*blocking=*/false);
     txn->held.emplace(lock_id, mode);
     held_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -191,7 +191,7 @@ void LockTable::RegisterHeldOnThread(const Txn& txn) {
     Entry* e = GetEntryLocked(lock_id);
     // blocking=false: attach order is the map's id order, not the
     // original acquisition order; recorded but not order-checked.
-    lock_rank::OnAcquire(e, LockRank::kSetLock, e->name.c_str(), false,
+    lock_rank::OnAcquire(e, LockRank::kSetLock, e->name.c_str(),
                          /*blocking=*/false);
   }
 }

@@ -1,12 +1,12 @@
 #include <algorithm>
 #include <functional>
-#include <span>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/strings.h"
 #include "query/executor.h"
 #include "replication/link_object.h"
+#include "storage/read_ahead.h"
 #include "telemetry/workload_profiler.h"
 
 namespace fieldrep {
@@ -37,6 +37,9 @@ struct PendingJoin {
   size_t row;
   Oid current;
 };
+
+const Oid& ReplicaOidOf(const PendingReplica& p) { return p.replica_oid; }
+const Oid& JoinOidOf(const PendingJoin& p) { return p.current; }
 
 /// Splits `n` sorted items into at most `parts` contiguous [begin, end)
 /// ranges without splitting a page across ranges: a range boundary is
@@ -72,19 +75,15 @@ Status Executor::RunReadStagesSerial(ReadResult* result, ObjectSet* set,
   std::vector<std::vector<PendingReplica>> pending_replicas(plans.size());
   std::vector<std::vector<PendingJoin>> pending_joins(plans.size());
 
-  // Read-ahead: the stages below all visit OID batches in sorted
-  // (physical) order, so each batch is announced to the pool a window at
-  // a time. Prefetching is best-effort — a failed batch falls back to the
-  // on-demand reads, which also keep the logical I/O counters exact.
+  // Read-ahead: every stage below visits its OIDs in sorted (physical)
+  // order, so it knows its whole page list before the first read, and a
+  // cursor keeps that list announced to the pool ahead of the loop.
+  // Announcing is best-effort — the on-demand reads keep the results and
+  // the logical I/O counters exact.
   BufferPool* pool = set->file().pool();
-  const uint32_t window = pool->read_ahead_window();
-
+  ReadAheadCursor heads_ahead(pool, oids);
   for (size_t i = 0; i < oids.size(); ++i) {
-    if (window > 0 && i % window == 0) {
-      size_t ahead = std::min<size_t>(window, oids.size() - i);
-      (void)pool->PrefetchOidPages(
-          std::span<const Oid>(oids.data() + i, ahead));
-    }
+    heads_ahead.Advance(i);
     const Oid& oid = oids[i];
     Object object;
     FIELDREP_RETURN_IF_ERROR(set->Read(oid, &object));
@@ -154,16 +153,10 @@ Status Executor::RunReadStagesSerial(ReadResult* result, ObjectSet* set,
               });
     FIELDREP_ASSIGN_OR_RETURN(
         RecordFile * file, sets_->GetAuxFile(plan.path->replica_set_file));
+    ReadAheadCursor ahead(pool, pending_replicas[c], 0,
+                          pending_replicas[c].size(), ReplicaOidOf);
     for (size_t i = 0; i < pending_replicas[c].size(); ++i) {
-      if (window > 0 && i % window == 0) {
-        std::vector<Oid> batch;
-        size_t ahead = std::min<size_t>(window, pending_replicas[c].size() - i);
-        batch.reserve(ahead);
-        for (size_t j = i; j < i + ahead; ++j) {
-          batch.push_back(pending_replicas[c][j].replica_oid);
-        }
-        (void)pool->PrefetchOidPages(batch);
-      }
+      ahead.Advance(i);
       const PendingReplica& pending = pending_replicas[c][i];
       std::string payload;
       FIELDREP_RETURN_IF_ERROR(file->Read(pending.replica_oid, &payload));
@@ -191,16 +184,9 @@ Status Executor::RunReadStagesSerial(ReadResult* result, ObjectSet* set,
                   return a.current < b.current;
                 });
       std::vector<PendingJoin> next;
+      ReadAheadCursor ahead(pool, frontier, 0, frontier.size(), JoinOidOf);
       for (size_t i = 0; i < frontier.size(); ++i) {
-        if (window > 0 && i % window == 0) {
-          std::vector<Oid> batch;
-          size_t ahead = std::min<size_t>(window, frontier.size() - i);
-          batch.reserve(ahead);
-          for (size_t j = i; j < i + ahead; ++j) {
-            batch.push_back(frontier[j].current);
-          }
-          (void)pool->PrefetchOidPages(batch);
-        }
+        ahead.Advance(i);
         const PendingJoin& pending = frontier[i];
         Object target;
         FIELDREP_RETURN_IF_ERROR(ReadObjectAt(pending.current, &target));
@@ -225,8 +211,9 @@ Status Executor::RunReadStagesParallel(
     const std::vector<ColumnPlan>& plans, bool needs_recheck,
     const std::optional<BoundClause>& clause, const std::vector<Oid>& oids,
     StageTracer* tracer) {
+  // Each worker range runs its own read-ahead cursor (see the serial
+  // stages); the pool-wide read-ahead budget bounds them together.
   BufferPool* pool = set->file().pool();
-  const uint32_t window = pool->read_ahead_window();
   const size_t nworkers = workers_->size();
 
   // Stage 0 fan-out: page-aligned ranges of the sorted head OIDs. Each
@@ -256,12 +243,12 @@ Status Executor::RunReadStagesParallel(
         const size_t begin = ranges[r].first;
         const size_t end = ranges[r].second;
         out.status = [&]() -> Status {
+          ReadAheadCursor ahead(pool, oids, begin, end,
+                                [](const Oid& oid) -> const Oid& {
+                                  return oid;
+                                });
           for (size_t i = begin; i < end; ++i) {
-            if (window > 0 && (i - begin) % window == 0) {
-              size_t ahead = std::min<size_t>(window, end - i);
-              (void)pool->PrefetchOidPages(
-                  std::span<const Oid>(oids.data() + i, ahead));
-            }
+            ahead.Advance(i);
             const Oid& oid = oids[i];
             Object object;
             FIELDREP_RETURN_IF_ERROR(set->Read(oid, &object));
@@ -378,16 +365,9 @@ Status Executor::RunReadStagesParallel(
         const size_t begin = col_ranges[r].first;
         const size_t end = col_ranges[r].second;
         statuses[r] = [&]() -> Status {
+          ReadAheadCursor ahead(pool, pending, begin, end, ReplicaOidOf);
           for (size_t i = begin; i < end; ++i) {
-            if (window > 0 && (i - begin) % window == 0) {
-              std::vector<Oid> batch;
-              size_t ahead = std::min<size_t>(window, end - i);
-              batch.reserve(ahead);
-              for (size_t j = i; j < i + ahead; ++j) {
-                batch.push_back(pending[j].replica_oid);
-              }
-              (void)pool->PrefetchOidPages(batch);
-            }
+            ahead.Advance(i);
             const PendingReplica& entry = pending[i];
             std::string payload;
             FIELDREP_RETURN_IF_ERROR(file->Read(entry.replica_oid, &payload));
@@ -437,16 +417,9 @@ Status Executor::RunReadStagesParallel(
           const size_t begin = hop_ranges[r].first;
           const size_t end = hop_ranges[r].second;
           statuses[r] = [&]() -> Status {
+            ReadAheadCursor ahead(pool, frontier, begin, end, JoinOidOf);
             for (size_t i = begin; i < end; ++i) {
-              if (window > 0 && (i - begin) % window == 0) {
-                std::vector<Oid> batch;
-                size_t ahead = std::min<size_t>(window, end - i);
-                batch.reserve(ahead);
-                for (size_t j = i; j < i + ahead; ++j) {
-                  batch.push_back(frontier[j].current);
-                }
-                (void)pool->PrefetchOidPages(batch);
-              }
+              ahead.Advance(i);
               const PendingJoin& entry = frontier[i];
               Object target;
               FIELDREP_RETURN_IF_ERROR(ReadObjectAt(entry.current, &target));

@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "query/executor.h"
+#include "storage/read_ahead.h"
 
 namespace fieldrep {
 
@@ -38,7 +39,12 @@ Status Executor::ExecuteUpdate(const UpdateQuery& query,
   if (trace != nullptr) trace->used_index = result->used_index;
   tracer.EndStage("collect", oids.size());
 
-  for (const Oid& oid : oids) {
+  // Announce the targets' pages ahead of the per-object updates; each
+  // object's propagation announces its own heads and S' record.
+  ReadAheadCursor ahead(set->file().pool(), oids);
+  for (size_t i = 0; i < oids.size(); ++i) {
+    ahead.Advance(i);
+    const Oid& oid = oids[i];
     if (needs_recheck && clause.has_value()) {
       Object object;
       FIELDREP_RETURN_IF_ERROR(set->Read(oid, &object));

@@ -141,11 +141,6 @@ Status ReplicationManager::UpdateHeadSlots(const ReplicationPathInfo& path,
                                            const std::vector<Value>& values,
                                            int value_pos,
                                            MutationContext* ctx) {
-  if (pool_ != nullptr && heads.size() > 1) {
-    // Heads arrive sorted (clustered order), so the fan-out touches their
-    // pages as one ascending sweep — prefetch the batch up front.
-    (void)pool_->PrefetchOidPages(heads);
-  }
   for (const Oid& head : heads) {
     Object* image;
     FIELDREP_RETURN_IF_ERROR(ctx->Get(head, &image));
@@ -203,6 +198,21 @@ Status ReplicationManager::PropagateTerminalValue(const std::string& set_name,
   // paths it terminates (Section 4.1.3 — "the link ID(s) stored in O ...
   // can be used to determine which updates to O need to be propagated").
   // Iterate over a snapshot because head-slot writes may touch this image.
+  // The fan-out is collected first and applied after one read-ahead batch
+  // for every page it touches (all paths' heads and the S' records),
+  // instead of a round trip per path.
+  struct InPlaceWork {
+    const ReplicationPathInfo* path;
+    int pos;
+    std::vector<Oid> heads;
+  };
+  struct SeparateWork {
+    const ReplicationPathInfo* path;
+    int pos;
+    Oid replica_oid;
+  };
+  std::vector<InPlaceWork> in_place;
+  std::vector<SeparateWork> separate;
   std::vector<uint8_t> link_ids;
   for (const LinkRef& ref : object->link_refs()) link_ids.push_back(ref.link_id);
   std::set<uint16_t> done;
@@ -227,17 +237,11 @@ Status ReplicationManager::PropagateTerminalValue(const std::string& set_name,
         if (propagated != nullptr) *propagated = true;
         continue;
       }
-      std::vector<Oid> heads;
+      InPlaceWork work{path, pos, {}};
       FIELDREP_RETURN_IF_ERROR(CollectHeadsFromLevel(
           *path, static_cast<uint16_t>(path->bound.level()), oid, ctx,
-          &heads));
-      FIELDREP_RETURN_IF_ERROR(UpdateHeadSlots(
-          *path, heads, {object->field(attr_index)}, pos, ctx));
-      propagations_.fetch_add(1, kRelaxed);
-      if (profiler_ != nullptr) {
-        profiler_->RecordPropagation(path->spec, heads.size());
-      }
-      if (propagated != nullptr) *propagated = true;
+          &work.heads));
+      in_place.push_back(std::move(work));
     }
   }
 
@@ -251,16 +255,44 @@ Status ReplicationManager::PropagateTerminalValue(const std::string& set_name,
     if (path->bound.set_name == set_name) continue;  // head-side slot
     int pos = PositionOf(path->bound.terminal_fields, attr_index);
     if (pos < 0) continue;
+    separate.push_back({path, pos, slot.replica_oid});
+  }
+
+  if (pool_ != nullptr) {
+    // Best-effort; a failed batch falls back to on-demand fetches below.
+    std::vector<Oid> touched;
+    for (const InPlaceWork& work : in_place) {
+      touched.insert(touched.end(), work.heads.begin(), work.heads.end());
+    }
+    for (const SeparateWork& work : separate) {
+      touched.push_back(work.replica_oid);
+    }
+    if (touched.size() > 1) (void)pool_->PrefetchOidPages(touched);
+  }
+
+  for (const InPlaceWork& work : in_place) {
+    FIELDREP_RETURN_IF_ERROR(UpdateHeadSlots(
+        *work.path, work.heads, {object->field(attr_index)}, work.pos, ctx));
+    propagations_.fetch_add(1, kRelaxed);
+    if (profiler_ != nullptr) {
+      profiler_->RecordPropagation(work.path->spec, work.heads.size());
+    }
+    if (propagated != nullptr) *propagated = true;
+  }
+
+  for (const SeparateWork& work : separate) {
+    const ReplicationPathInfo* path = work.path;
+    const int pos = work.pos;
     FIELDREP_ASSIGN_OR_RETURN(RecordFile * file,
                               sets_->GetAuxFile(path->replica_set_file));
     std::string payload;
-    FIELDREP_RETURN_IF_ERROR(file->Read(slot.replica_oid, &payload));
+    FIELDREP_RETURN_IF_ERROR(file->Read(work.replica_oid, &payload));
     ReplicaRecord record;
     FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
     if (pos < static_cast<int>(record.values.size())) {
       record.values[pos] = object->field(attr_index);
     }
-    FIELDREP_RETURN_IF_ERROR(file->Update(slot.replica_oid,
+    FIELDREP_RETURN_IF_ERROR(file->Update(work.replica_oid,
                                           record.Serialize()));
     propagations_.fetch_add(1, kRelaxed);
     separate_replica_writes_.fetch_add(1, kRelaxed);
@@ -324,6 +356,11 @@ Status ReplicationManager::FlushPendingPropagation(uint16_t path_id) {
     std::vector<Value> values;
     FIELDREP_RETURN_IF_ERROR(
         ReadTerminalValues(*path, terminal, &ctx, &values));
+    if (pool_ != nullptr && heads.size() > 1) {
+      // Heads arrive sorted (clustered order), so the fan-out touches
+      // their pages as one ascending sweep: announce them up front.
+      (void)pool_->PrefetchOidPages(heads);
+    }
     FIELDREP_RETURN_IF_ERROR(UpdateHeadSlots(*path, heads, values, -1, &ctx));
     PendingErase(path_id, packed);
     propagations_.fetch_add(1, kRelaxed);

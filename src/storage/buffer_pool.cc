@@ -177,11 +177,10 @@ Status BufferPool::FetchPage(PageId page_id, PageGuard* guard,
       }
       frame_index = it->second;
       Frame& frame = frames_[frame_index];
-      if (frame.prefetched.load(kRelaxed)) {
+      if (ClearReadAhead(frame)) {
         // First logical access of a prefetched page: charge the read the
         // caller would have performed without read-ahead, so the logical
         // counters are independent of the read-ahead window.
-        frame.prefetched.store(false, kRelaxed);
         stats_.disk_reads.fetch_add(1, kRelaxed);
         shard.misses.fetch_add(1, kRelaxed);
       } else {
@@ -208,7 +207,9 @@ Status BufferPool::FetchPage(PageId page_id, PageGuard* guard,
     return Status::OK();
   }
 
-  // Miss with the fill claimed: take a victim and read the device.
+  // Miss with the fill claimed: take a victim and read the device. The
+  // victim comes back off the free list, out of the table, and pinned, so
+  // the clock hand stays away while we fill it.
   {
     MutexLock victim_lock(victim_mutex_);
     Status s = GetVictimFrame(&frame_index);
@@ -216,10 +217,6 @@ Status BufferPool::FetchPage(PageId page_id, PageGuard* guard,
       AbandonFill(page_id, kFrameInFlight);
       return s;
     }
-    // Claim against concurrent sweeps before victim_mutex_ drops: the
-    // frame is off the free list and out of the table, and a nonzero pin
-    // keeps the clock hand away while we fill it.
-    frames_[frame_index].pin_count.store(1, kRelaxed);
   }
   Frame& frame = frames_[frame_index];
   uint64_t start_ns = NowNs();
@@ -247,7 +244,6 @@ Status BufferPool::FetchPage(PageId page_id, PageGuard* guard,
   // that observes in_use == true reads this fill's page_id, not a stale
   // one (the walk holds no shard lock, so the atomics carry the ordering).
   frame.in_use.store(true, std::memory_order_release);
-  frame.prefetched.store(false, kRelaxed);
   {
     MutexLock lock(shard.mu);
     shard.table[page_id] = frame_index;
@@ -298,7 +294,6 @@ Status BufferPool::NewPage(PageGuard* guard) {
       AbandonFill(page_id, kFrameInFlight);
       return s;
     }
-    frames_[frame_index].pin_count.store(1, kRelaxed);
   }
   Frame& frame = frames_[frame_index];
   std::memset(frame.data.get(), 0, kPageSize);
@@ -308,7 +303,6 @@ Status BufferPool::NewPage(PageGuard* guard) {
   frame.dirty.store(true, kRelaxed);
   frame.referenced.store(true, kRelaxed);
   frame.in_use.store(true, std::memory_order_release);
-  frame.prefetched.store(false, kRelaxed);
   {
     MutexLock lock(shard.mu);
     shard.table[page_id] = frame_index;
@@ -349,17 +343,48 @@ Status BufferPool::Prefetch(std::span<const PageId> page_ids) {
     MutexLock lock(shard.mu);
     return shard.table.count(id) != 0;
   });
-  if (candidates.empty()) return Status::OK();
+  return ReadAheadBatch(candidates);
+}
 
-  // Claim an in-flight table slot and a victim frame per non-resident id.
-  // The pin keeps a later victim sweep in this same batch (and concurrent
-  // sweeps once victim_mutex_ drops) from handing the frame out twice.
-  std::vector<PrefetchClaim> claims;
-  claims.reserve(candidates.size());
-  Status claim_error;
+Status BufferPool::ReadAhead(std::span<const PageId> pages, size_t* covered) {
+  *covered = 0;
+  const size_t budget = read_ahead_budget();
+  const size_t pending = read_ahead_pending_.load(kRelaxed);
+  if (read_ahead_window_.load(kRelaxed) == 0 || pending >= budget) {
+    return Status::OK();
+  }
+  // Walk the stage's list in consumption order until the batch fills the
+  // budget's remaining room. Resident and in-flight pages cost no budget;
+  // the residency probe is racy by design (the claim re-checks).
+  const size_t room = budget - pending;
+  const PageId device_pages = device_->page_count();
+  std::vector<PageId> batch;
+  size_t i = 0;
+  for (; i < pages.size() && batch.size() < room; ++i) {
+    const PageId id = pages[i];
+    if (id >= device_pages || (i > 0 && pages[i - 1] == id)) continue;
+    Shard& shard = ShardFor(id);
+    MutexLock lock(shard.mu);
+    if (shard.table.count(id) == 0) batch.push_back(id);
+  }
+  *covered = i;
+  std::sort(batch.begin(), batch.end());
+  batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+  return ReadAheadBatch(batch);
+}
+
+Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
+  if (ids.empty()) return Status::OK();
+  // Claim an in-flight table slot and a victim frame per id, with the
+  // clock-sweep decisions an on-demand miss would make. The victim's pin
+  // keeps later sweeps in this batch (and concurrent ones once
+  // victim_mutex_ drops) from handing the frame out twice.
+  std::vector<PrefetchClaim> ready;    // free or clean frame: read at once
+  std::vector<PrefetchClaim> waiting;  // frame still holds a dirty victim
+  std::vector<size_t> victims;
   {
     MutexLock victim_lock(victim_mutex_);
-    for (PageId id : candidates) {
+    for (PageId id : ids) {
       Shard& shard = ShardFor(id);
       {
         MutexLock lock(shard.mu);
@@ -367,41 +392,85 @@ Status BufferPool::Prefetch(std::span<const PageId> page_ids) {
         shard.table.emplace(id, kFrameInFlight);
       }
       size_t frame_index;
-      Status s = GetVictimFrame(&frame_index);
-      if (!s.ok()) {
+      bool needs_writeback = false;
+      if (!ClaimVictim(&frame_index, &needs_writeback).ok()) {
         {
           MutexLock lock(shard.mu);
           shard.table.erase(id);
         }
         shard.cv.notify_all();
-        if (s.IsFailedPrecondition()) break;  // all pinned: shrink the batch
-        claim_error = s;  // dirty-victim writeback failed: real error
-        break;
+        break;  // every frame is pinned: shrink the batch
       }
-      frames_[frame_index].pin_count.store(1, kRelaxed);
-      claims.push_back(PrefetchClaim{id, frame_index});
+      if (needs_writeback) {
+        Frame& victim = frames_[frame_index];
+        victim.evicting.store(true, kRelaxed);
+        waiting.push_back({id, frame_index, victim.page_id.load(kRelaxed)});
+        victims.push_back(frame_index);
+      } else {
+        ready.push_back({id, frame_index});
+      }
     }
   }
-  if (!claim_error.ok()) {
-    for (const PrefetchClaim& claim : claims) {
-      AbandonFill(claim.page_id, claim.frame_index);
-    }
-    return claim_error;
-  }
-  if (claims.empty()) return Status::OK();
+  // Free and clean frames take their reads now, overlapping the victims'
+  // write-back below.
+  Status read_status = SubmitReadAhead(std::move(ready));
+  if (victims.empty()) return read_status;
 
+  // The dirty victims reach the device as one ordered batch instead of a
+  // synchronous write each. Until their writes land they stay
+  // unreachable (in flight in their shards, pinned), so no writer can
+  // re-dirty one after staging and a concurrent FlushAll waits for them.
+  Status write_status = FlushFramesOrdered(victims);
+  std::vector<PrefetchClaim> written;
+  for (const PrefetchClaim& claim : waiting) {
+    Frame& frame = frames_[claim.frame_index];
+    const bool ok = !frame.dirty.load(kRelaxed);
+    {
+      MutexLock lock(async_mu_);
+      frame.evicting.store(false, kRelaxed);
+    }
+    FinishEviction(claim.frame_index, claim.victim_page, ok);
+    if (ok) {
+      written.push_back({claim.page_id, claim.frame_index});
+    } else {
+      AbandonFill(claim.page_id, kFrameInFlight);  // victim stays resident
+    }
+  }
+  async_cv_.notify_all();
+  Status s = SubmitReadAhead(std::move(written));
+  if (!write_status.ok()) return write_status;
+  return read_status.ok() ? s : read_status;
+}
+
+void BufferPool::MarkReadAhead(Frame& frame) {
+  if (!frame.prefetched.exchange(true, kRelaxed)) {
+    read_ahead_pending_.fetch_add(1, kRelaxed);
+  }
+}
+
+bool BufferPool::ClearReadAhead(Frame& frame) {
+  if (!frame.prefetched.exchange(false, kRelaxed)) return false;
+  read_ahead_pending_.fetch_sub(1, kRelaxed);
+  return true;
+}
+
+Status BufferPool::SubmitReadAhead(std::vector<PrefetchClaim> claims) {
+  if (claims.empty()) return Status::OK();
   std::vector<PageId> ids(claims.size());
   std::vector<uint8_t*> bufs(claims.size());
   for (size_t i = 0; i < claims.size(); ++i) {
+    Frame& frame = frames_[claims[i].frame_index];
+    MarkReadAhead(frame);
     ids[i] = claims[i].page_id;
-    bufs[i] = frames_[claims[i].frame_index].data.get();
+    bufs[i] = frame.data.get();
   }
+  stats_.read_batches.fetch_add(1, kRelaxed);
 
   if (device_->async_io()) {
     // Fire-and-forget: a prefetch is a scheduling hint, so the caller
     // does not wait for the device. The completion callback (device
     // reaper thread) installs the frames; until then the in-flight
-    // markers published above make concurrent fetchers of these pages
+    // markers published at claim time make concurrent fetchers of these pages
     // wait on the shard condvar, exactly as for a synchronous miss.
     stats_.async_reads.fetch_add(claims.size(), kRelaxed);
     BeginAsyncBatch();
@@ -458,7 +527,6 @@ void BufferPool::InstallPrefetchedPages(std::span<const PrefetchClaim> claims,
     frame.dirty.store(false, kRelaxed);
     frame.referenced.store(true, kRelaxed);
     frame.in_use.store(true, std::memory_order_release);
-    frame.prefetched.store(true, kRelaxed);
     Shard& shard = ShardFor(claim.page_id);
     {
       MutexLock lock(shard.mu);
@@ -486,7 +554,7 @@ void BufferPool::AbandonFill(PageId page_id, size_t frame_index) {
     Frame& frame = frames_[frame_index];
     frame.in_use.store(false, kRelaxed);
     frame.page_id.store(kInvalidPageId, kRelaxed);
-    frame.prefetched.store(false, kRelaxed);
+    ClearReadAhead(frame);
     frame.pin_count.store(0, kRelaxed);
     MutexLock victim_lock(victim_mutex_);
     free_frames_.push_back(frame_index);
@@ -510,6 +578,7 @@ Status BufferPool::WriteBackFrame(Frame& frame) {
   }
   // Page 0 is the magic-prefixed database header, not a headered page.
   if (page_id != 0) StampPageChecksum(frame.data.get());
+  stats_.write_batches.fetch_add(1, kRelaxed);
   uint64_t start_ns = NowNs();
   Status s = device_->WritePage(page_id, frame.data.get());
   stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
@@ -527,19 +596,70 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
                      frames_[b].page_id.load(kRelaxed);
             });
   const bool async = device_->async_io();
-  // One contiguous-PageId run staged for the device. Heap-shared so the
-  // async completion callback can outlive this frame of the loop; the
-  // staged buffer is page-aligned for O_DIRECT devices.
-  struct RunState {
+  // Pages staged for one device submission: one contiguous run on a
+  // synchronous device, every staged run on an asynchronous one.
+  // Heap-shared so the async completion callback can outlive this call;
+  // the staged buffers are page-aligned for O_DIRECT devices.
+  struct WriteBatch {
     std::vector<PageId> ids;
     std::vector<size_t> frames;
-    PageBuffer staged;
+    std::vector<bool> in_run;        // page sits in a multi-page run
+    std::vector<PageBuffer> staged;  // one buffer per run
     std::vector<const uint8_t*> bufs;
-    std::vector<Status> statuses;  // written by the completion callback
-    bool done = false;             // GUARDED_BY(async_mu_) in spirit
-    uint64_t start_ns = 0;
+    std::vector<Status> statuses;    // one per page, set on completion
+    bool done = false;               // GUARDED_BY(async_mu_) in spirit
   };
-  std::vector<std::shared_ptr<RunState>> submitted;
+  auto batch = std::make_shared<WriteBatch>();
+  std::string failed_pages;
+  Status first_write_error;
+
+  // Hands the staged pages to the device and settles them: written pages
+  // drop their dirty bit; failed ones STAY DIRTY — a later flush rewrites
+  // them (a prefix of a failed run may have reached the device, which is
+  // always safe) — and are named in the returned status.
+  auto submit = [&] {
+    const size_t n = batch->ids.size();
+    if (n == 0) return;
+    stats_.write_batches.fetch_add(1, kRelaxed);
+    const uint64_t start_ns = NowNs();
+    if (async) {
+      stats_.async_writes.fetch_add(n, kRelaxed);
+      BeginAsyncBatch();
+      device_->WritePagesAsync(
+          batch->ids, batch->bufs,
+          [this, b = batch, start_ns](std::span<const Status> statuses) {
+            stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
+            b->statuses.assign(statuses.begin(), statuses.end());
+            {
+              MutexLock lock(async_mu_);
+              b->done = true;
+            }
+            EndAsyncBatch();
+          });
+      // Wait for this batch only, not for unrelated prefetches.
+      UniqueMutexLock lock(async_mu_);
+      async_cv_.wait(lock, [&] { return batch->done; });
+    } else {
+      Status s = device_->WritePages(batch->ids, batch->bufs);
+      stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
+      batch->statuses.assign(n, s);
+    }
+    for (size_t j = 0; j < n; ++j) {
+      const Status& s = batch->statuses[j];
+      if (s.ok()) {
+        frames_[batch->frames[j]].dirty.store(false, kRelaxed);
+        stats_.disk_writes.fetch_add(1, kRelaxed);
+        stats_.bytes_written.fetch_add(kPageSize, kRelaxed);
+        if (batch->in_run[j]) stats_.coalesced_writes.fetch_add(1, kRelaxed);
+      } else {
+        if (first_write_error.ok()) first_write_error = s;
+        if (!failed_pages.empty()) failed_pages += ", ";
+        failed_pages += StringPrintf("%u", batch->ids[j]);
+      }
+    }
+    batch = std::make_shared<WriteBatch>();
+  };
+
   Status stage_error;
 
   size_t i = 0;
@@ -551,11 +671,7 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
                frames_[frame_indices[i]].page_id.load(kRelaxed) + run) {
       ++run;
     }
-    auto rs = std::make_shared<RunState>();
-    rs->ids.resize(run);
-    rs->frames.resize(run);
-    rs->staged = AllocatePageBuffer(run);
-    rs->bufs.resize(run);
+    PageBuffer staged = AllocatePageBuffer(run);
     // Stage each page's bytes under its exclusive latch (checksum
     // stamping mutates them and the copy needs them stable against
     // shared-latch readers), one frame at a time: the flusher never holds
@@ -580,124 +696,90 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
       {
         WriterMutexLock latch(frame.latch);
         if (page_id != 0) StampPageChecksum(frame.data.get());
-        std::memcpy(rs->staged.get() + j * kPageSize, frame.data.get(),
+        std::memcpy(staged.get() + j * kPageSize, frame.data.get(),
                     kPageSize);
       }
-      rs->ids[j] = page_id;
-      rs->frames[j] = frame_indices[i + j];
-      rs->bufs[j] = rs->staged.get() + j * kPageSize;
     }
-    if (!stage_error.ok()) break;  // unstaged frames simply stay dirty
-
-    if (async) {
-      // Submit and move on to staging the next run: the device overlaps
-      // the runs' writes. Completion is awaited below, so this function's
-      // post-conditions match the synchronous path exactly.
-      stats_.async_writes.fetch_add(run, kRelaxed);
-      BeginAsyncBatch();
-      rs->start_ns = NowNs();
-      submitted.push_back(rs);
-      device_->WritePagesAsync(
-          rs->ids, rs->bufs, [this, rs](std::span<const Status> statuses) {
-            stats_.write_ns.fetch_add(NowNs() - rs->start_ns, kRelaxed);
-            rs->statuses.assign(statuses.begin(), statuses.end());
-            {
-              MutexLock lock(async_mu_);
-              rs->done = true;
-            }
-            EndAsyncBatch();
-          });
-    } else {
-      uint64_t start_ns = NowNs();
-      Status s = device_->WritePages(rs->ids, rs->bufs);
-      stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-      if (!s.ok()) {
-        // A prefix of the run may have reached the device; the frames
-        // stay dirty, so a later flush rewrites them — always safe.
-        return Status(s.code(),
-                      StringPrintf("flushing pages %u..%u: %s",
-                                   rs->ids.front(), rs->ids.back(),
-                                   s.message().c_str()));
-      }
-      for (size_t j = 0; j < run; ++j) {
-        frames_[rs->frames[j]].dirty.store(false, kRelaxed);
-      }
-      stats_.disk_writes.fetch_add(run, kRelaxed);
-      stats_.bytes_written.fetch_add(run * kPageSize, kRelaxed);
-      if (run > 1) stats_.coalesced_writes.fetch_add(run, kRelaxed);
+    if (!stage_error.ok()) break;  // the partial run's frames stay dirty
+    for (size_t j = 0; j < run; ++j) {
+      batch->ids.push_back(frames_[frame_indices[i + j]].page_id.load(kRelaxed));
+      batch->frames.push_back(frame_indices[i + j]);
+      batch->in_run.push_back(run > 1);
+      batch->bufs.push_back(staged.get() + j * kPageSize);
     }
+    batch->staged.push_back(std::move(staged));
+    if (!async) submit();
     i += run;
   }
-  if (submitted.empty()) return stage_error;
-
-  // Wait for this call's runs (not unrelated prefetches), then settle:
-  // pages whose write completed drop their dirty bit; pages whose
-  // write-back failed STAY DIRTY — a later flush rewrites them — and are
-  // named in the returned status.
-  {
-    UniqueMutexLock lock(async_mu_);
-    async_cv_.wait(lock, [&] {
-      for (const auto& rs : submitted) {
-        if (!rs->done) return false;
-      }
-      return true;
-    });
-  }
-  std::string failed_pages;
-  Status first_write_error;
-  for (const auto& rs : submitted) {
-    const size_t run = rs->ids.size();
-    for (size_t j = 0; j < run; ++j) {
-      const Status& s = rs->statuses[j];
-      if (s.ok()) {
-        frames_[rs->frames[j]].dirty.store(false, kRelaxed);
-        stats_.disk_writes.fetch_add(1, kRelaxed);
-        stats_.bytes_written.fetch_add(kPageSize, kRelaxed);
-        if (run > 1) stats_.coalesced_writes.fetch_add(1, kRelaxed);
-      } else {
-        if (first_write_error.ok()) first_write_error = s;
-        if (!failed_pages.empty()) failed_pages += ", ";
-        failed_pages += StringPrintf("%u", rs->ids[j]);
-      }
-    }
-  }
+  submit();  // asynchronous device: every staged run in one batch
   if (!first_write_error.ok()) {
     return Status(first_write_error.code(),
-                  StringPrintf("async write-back failed for pages [%s] "
-                               "(frames stay dirty): %s",
+                  StringPrintf("flushing pages [%s] failed (frames stay "
+                               "dirty): %s",
                                failed_pages.c_str(),
                                first_write_error.message().c_str()));
   }
   return stage_error;
 }
-
 Status BufferPool::FlushAll() {
   // Collect-and-pin under victim_mutex_, then flush without it: frame
   // latches are only ever acquired after (never under) the victim lock,
   // and the extra pin keeps each collected frame from being evicted or
-  // repurposed once the lock drops.
-  std::vector<size_t> dirty;
-  {
-    MutexLock victim_lock(victim_mutex_);
-    for (size_t i = 0; i < capacity_; ++i) {
-      Frame& frame = frames_[i];
-      if (!frame.in_use.load(std::memory_order_acquire) ||
-          !frame.dirty.load(kRelaxed)) {
-        continue;
-      }
-      if (observer_ != nullptr &&
-          !observer_->CanEvict(frame.page_id.load(kRelaxed))) {
-        // Uncommitted transaction page: commit will release it; a crash
-        // before then must leave the device without it (atomicity).
-        continue;
-      }
-      frame.pin_count.fetch_add(1, kRelaxed);
-      dirty.push_back(i);
+  // repurposed once the lock drops. A dirty frame that a read-ahead batch
+  // is evicting is not staged here (it is about to be reused); the flush
+  // waits for that write-back instead, and flushes the frame itself when
+  // the write failed and left it dirty: a checkpoint relies on every page
+  // dirty at entry being on the device at return.
+  Status result;
+  std::vector<std::pair<size_t, PageId>> evicting;
+  bool first_pass = true;
+  while (first_pass || !evicting.empty()) {
+    if (!first_pass) {
+      UniqueMutexLock lock(async_mu_);
+      async_cv_.wait(lock, [&] {
+        for (const auto& [i, page_id] : evicting) {
+          if (frames_[i].evicting.load(kRelaxed)) return false;
+        }
+        return true;
+      });
     }
+    std::vector<size_t> dirty;
+    std::vector<std::pair<size_t, PageId>> still_evicting;
+    {
+      MutexLock victim_lock(victim_mutex_);
+      auto consider = [&](size_t i, PageId expected) {
+        Frame& frame = frames_[i];
+        if (!frame.in_use.load(std::memory_order_acquire) ||
+            !frame.dirty.load(kRelaxed)) {
+          return;
+        }
+        const PageId page_id = frame.page_id.load(kRelaxed);
+        if (expected != kInvalidPageId && page_id != expected) return;
+        if (observer_ != nullptr && !observer_->CanEvict(page_id)) {
+          // Uncommitted transaction page: commit will release it; a crash
+          // before then must leave the device without it (atomicity).
+          return;
+        }
+        if (frame.evicting.load(kRelaxed)) {
+          still_evicting.emplace_back(i, page_id);
+          return;
+        }
+        frame.pin_count.fetch_add(1, kRelaxed);
+        dirty.push_back(i);
+      };
+      if (first_pass) {
+        for (size_t i = 0; i < capacity_; ++i) consider(i, kInvalidPageId);
+      } else {
+        for (const auto& [i, page_id] : evicting) consider(i, page_id);
+      }
+    }
+    Status s = FlushFramesOrdered(dirty);
+    for (size_t i : dirty) frames_[i].pin_count.fetch_sub(1, kRelaxed);
+    if (result.ok()) result = s;
+    evicting = std::move(still_evicting);
+    first_pass = false;
   }
-  Status s = FlushFramesOrdered(dirty);
-  for (size_t i : dirty) frames_[i].pin_count.fetch_sub(1, kRelaxed);
-  return s;
+  return result;
 }
 
 Status BufferPool::EvictAll() {
@@ -739,7 +821,7 @@ Status BufferPool::EvictAll() {
       frame.in_use.store(false, kRelaxed);
       frame.page_id.store(kInvalidPageId, kRelaxed);
       frame.referenced.store(false, kRelaxed);
-      frame.prefetched.store(false, kRelaxed);
+      ClearReadAhead(frame);
       free_frames_.push_back(i);
     }
   }
@@ -822,9 +904,51 @@ uint64_t BufferPool::total_pins() const {
 }
 
 Status BufferPool::GetVictimFrame(size_t* frame_index) {
+  bool needs_writeback = false;
+  FIELDREP_RETURN_IF_ERROR(ClaimVictim(frame_index, &needs_writeback));
+  if (!needs_writeback) return Status::OK();
+  Frame& frame = frames_[*frame_index];
+  const PageId victim_page = frame.page_id.load(kRelaxed);
+  Status s = WriteBackFrame(frame);
+  FinishEviction(*frame_index, victim_page, s.ok());
+  return s;
+}
+
+void BufferPool::FinishEviction(size_t frame_index, PageId victim_page,
+                                bool written) {
+  Frame& frame = frames_[frame_index];
+  Shard& shard = ShardFor(victim_page);
+  {
+    MutexLock lock(shard.mu);
+    if (written) {
+      shard.table.erase(victim_page);
+    } else {
+      shard.table[victim_page] = frame_index;  // still resident and dirty
+    }
+  }
+  shard.cv.notify_all();
+  if (written) {
+    ResetEvicted(frame);
+  } else {
+    frame.pin_count.fetch_sub(1, kRelaxed);
+  }
+}
+
+void BufferPool::ResetEvicted(Frame& frame) {
+  frame.in_use.store(false, kRelaxed);
+  frame.page_id.store(kInvalidPageId, kRelaxed);
+  ClearReadAhead(frame);
+  frame.page_lsn.store(0, kRelaxed);
+  frame.referenced.store(false, kRelaxed);
+  evictions_.fetch_add(1, kRelaxed);
+}
+
+Status BufferPool::ClaimVictim(size_t* frame_index, bool* needs_writeback) {
+  *needs_writeback = false;
   if (!free_frames_.empty()) {
     *frame_index = free_frames_.back();
     free_frames_.pop_back();
+    frames_[*frame_index].pin_count.store(1, kRelaxed);
     return Status::OK();
   }
   // Clock sweep: a frame survives one pass if its reference bit is set.
@@ -847,8 +971,9 @@ Status BufferPool::GetVictimFrame(size_t* frame_index) {
     UniqueMutexLock lock(shard.mu);
     // Re-check under the shard lock: pins originate in the hit path, which
     // runs under this lock, so pin_count == 0 here is authoritative — and
-    // implies the frame's latch is free too.
-    if (frame.pin_count.load(kRelaxed) > 0) continue;
+    // implies the frame's latch is free too. Acquire pairs with Unpin's
+    // release, so the write-back below reads the last holder's bytes.
+    if (frame.pin_count.load(std::memory_order_acquire) > 0) continue;
     if (frame.dirty.load(kRelaxed) && observer_ != nullptr &&
         !observer_->CanEvict(victim_page)) {
       continue;  // no-steal: uncommitted pages stay resident
@@ -857,31 +982,22 @@ Status BufferPool::GetVictimFrame(size_t* frame_index) {
       frame.referenced.store(false, kRelaxed);
       continue;
     }
+    // The pin claims the frame: the hit path pins only under this shard
+    // lock, through the table entry rewritten below.
+    frame.pin_count.store(1, kRelaxed);
+    *frame_index = index;
     if (frame.dirty.load(kRelaxed)) {
-      // Mark the entry in-flight for the duration of the writeback: a
-      // concurrent fetcher must wait for the device write to finish, not
-      // re-read stale bytes from the device.
+      // Mark the entry in-flight until the write-back lands: a concurrent
+      // fetcher must wait for the device write to finish, not re-read
+      // stale bytes from the device.
       shard.table[victim_page] = kFrameInFlight;
-      lock.unlock();
-      Status s = WriteBackFrame(frame);
-      lock.lock();
-      if (!s.ok()) {
-        shard.table[victim_page] = index;  // still resident, still dirty
-        lock.unlock();
-        shard.cv.notify_all();
-        return s;
-      }
+      *needs_writeback = true;
+      return Status::OK();
     }
     shard.table.erase(victim_page);
     lock.unlock();
     shard.cv.notify_all();
-    frame.in_use.store(false, kRelaxed);
-    frame.page_id.store(kInvalidPageId, kRelaxed);
-    frame.prefetched.store(false, kRelaxed);
-    frame.page_lsn.store(0, kRelaxed);
-    frame.referenced.store(false, kRelaxed);
-    evictions_.fetch_add(1, kRelaxed);
-    *frame_index = index;
+    ResetEvicted(frame);
     return Status::OK();
   }
   return Status::FailedPrecondition("all buffer frames are pinned");
@@ -932,9 +1048,13 @@ void BufferPool::CollectMetrics(std::vector<MetricSample>* out) const {
       MetricKind::kGauge, static_cast<double>(pages_cached()));
   add("fieldrep_pool_pinned_pages", "Sum of frame pin counts.",
       MetricKind::kGauge, static_cast<double>(total_pins()));
-  add("fieldrep_pool_read_ahead_window", "Current read-ahead window.",
+  add("fieldrep_pool_read_ahead_window",
+      "Sequential-scan read-ahead run length (0 = read-ahead off).",
       MetricKind::kGauge,
       static_cast<double>(read_ahead_window_.load(kRelaxed)));
+  add("fieldrep_pool_read_ahead_budget",
+      "Pool-wide bound on pages read ahead but not yet consumed.",
+      MetricKind::kGauge, static_cast<double>(read_ahead_budget()));
   for (size_t i = 0; i < kShardCount; ++i) {
     const uint64_t hits = shards_[i].hits.load(kRelaxed);
     const uint64_t misses = shards_[i].misses.load(kRelaxed);
@@ -957,7 +1077,9 @@ void BufferPool::Unpin(size_t frame_index, LatchMode mode) {
     frame.latch.unlock_shared();
   }
   assert(frame.pin_count.load(kRelaxed) > 0);
-  frame.pin_count.fetch_sub(1, kRelaxed);
+  // Release pairs with the victim sweep's acquire load: an evictor that
+  // sees the pin gone also sees every byte written under the latch.
+  frame.pin_count.fetch_sub(1, std::memory_order_release);
 }
 
 }  // namespace fieldrep

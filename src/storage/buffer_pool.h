@@ -20,8 +20,10 @@ namespace fieldrep {
 class BufferPool;
 struct MetricSample;
 
-/// Default read-ahead window (pages per prefetch batch). 0 disables
-/// read-ahead everywhere and restores strictly on-demand I/O.
+/// Default read-ahead window: the run length of speculative sequential
+/// read-ahead (record-file scans, B+-tree leaf chains). Any nonzero value
+/// also enables stage read-ahead (ReadAheadCursor); 0 disables read-ahead
+/// everywhere and restores strictly on-demand I/O.
 constexpr uint32_t kDefaultReadAheadWindow = 16;
 
 /// How a FetchPage caller intends to use the page. Shared fetches take the
@@ -128,6 +130,13 @@ class PageGuard {
 /// fetched is never charged. Logical counters are therefore byte-identical
 /// with read-ahead on or off.
 ///
+/// Read-ahead budget: pages read ahead but not yet consumed (the frames
+/// whose `prefetched` mark is set, in flight or installed) are counted
+/// pool-wide. ReadAhead() announces pages only while that count is below
+/// read_ahead_budget(), a quarter of the frames, so concurrent stages,
+/// parallel workers and server sessions share one bound and read-ahead
+/// can never crowd the pages a query is using out of the pool.
+///
 /// Thread safety (DESIGN.md §10): the page table is sharded (power-of-two
 /// shard count, one mutex + condvar each), every frame carries a
 /// shared_mutex latch and an atomic pin count, and the I/O counters are
@@ -170,8 +179,12 @@ class BufferPool {
   ///   - no-op when the read-ahead window is 0;
   ///   - ids that are resident, in flight, duplicated, or unallocated are
   ///     skipped;
-  ///   - victim selection honours the observer's no-steal veto and flushes
-  ///     dirty victims through the normal BeforePageFlush path;
+  ///   - victim selection honours the observer's no-steal veto; the dirty
+  ///     victims of one batch are written back together, as one ordered
+  ///     batch through FlushFramesOrdered (BeforePageFlush per page), and
+  ///     stay unreachable (in flight in their shard) until their write
+  ///     lands. A victim whose write fails stays resident and dirty, its
+  ///     claim is dropped, and the returned error names the page;
   ///   - if every frame is pinned the remainder of the batch is dropped;
   ///   - with checksum verification enabled (see set_verify_checksums),
   ///     pages failing it are not installed (the next FetchPage re-reads
@@ -191,6 +204,14 @@ class BufferPool {
   /// Prefetches the distinct pages addressed by `oids` (in sorted page
   /// order). Convenience wrapper over Prefetch for OID-batch hot paths.
   Status PrefetchOidPages(std::span<const Oid> oids);
+
+  /// Budgeted Prefetch for a stage's page list in consumption order
+  /// (ReadAheadCursor's primitive): walks `pages` from the front,
+  /// skipping invalid, unallocated, resident and repeated ids, and reads
+  /// the rest ahead in one batch until the pool-wide read-ahead budget is
+  /// used up. Stores in `*covered` how many entries of `pages` the walk
+  /// got through (0 when the budget is exhausted or read-ahead is off).
+  Status ReadAhead(std::span<const PageId> pages, size_t* covered);
 
   /// Writes all dirty frames back to the device (without unpinning), in
   /// ascending PageId order with contiguous runs coalesced into vectored
@@ -227,11 +248,21 @@ class BufferPool {
   /// `out` — the registry-collector hook Database installs.
   void CollectMetrics(std::vector<MetricSample>* out) const;
 
-  /// Read-ahead window: the number of pages scan hot paths prefetch ahead
-  /// of the cursor. 0 disables read-ahead (every Prefetch call becomes a
-  /// no-op), restoring strictly on-demand I/O.
+  /// Read-ahead window: the run length sequential scans (record-file
+  /// page chains, B+-tree leaf chains) speculatively prefetch ahead of
+  /// the scan. 0 disables all read-ahead (every Prefetch and ReadAhead
+  /// call becomes a no-op), restoring strictly on-demand I/O.
   void set_read_ahead_window(uint32_t window) { read_ahead_window_ = window; }
   uint32_t read_ahead_window() const { return read_ahead_window_; }
+
+  /// Pool-wide bound on pages read ahead but not yet consumed (see the
+  /// class comment): a quarter of the frames.
+  size_t read_ahead_budget() const { return capacity_ / 4; }
+  /// Pages currently read ahead and not yet consumed (in flight or
+  /// installed, never fetched).
+  size_t read_ahead_pending() const {
+    return read_ahead_pending_.load(std::memory_order_relaxed);
+  }
 
   /// Checksum verification on the read paths (on-demand misses and
   /// prefetch batches). Defaults to on in debug builds and off in release
@@ -297,9 +328,16 @@ class BufferPool {
     /// Fill paths store it with release order after page_id (below) so a
     /// pool walk that loads it with acquire order reads the matching id.
     std::atomic<bool> in_use{false};
-    /// Installed by Prefetch and not yet logically charged: the first
-    /// FetchPage counts it as a disk_read instead of a hit.
+    /// Read ahead (in flight or installed) and not yet logically charged:
+    /// the first FetchPage counts it as a disk_read instead of a hit.
+    /// Every transition goes through MarkReadAhead / ClearReadAhead, which
+    /// keep read_ahead_pending_ equal to the number of frames with it set.
     std::atomic<bool> prefetched{false};
+    /// A read-ahead batch claimed this dirty frame as its victim and is
+    /// writing it back outside victim_mutex_ (its table entry is in flight
+    /// meanwhile). FlushAll waits for such write-backs instead of staging
+    /// the frame itself: the frame is about to be reused.
+    std::atomic<bool> evicting{false};
     /// Written while the frame is unreachable (under victim_mutex_ before
     /// table publication, or marked in-flight in its shard) — but read by
     /// whole-pool walks that only observe `in_use`, so it is atomic and
@@ -346,27 +384,50 @@ class BufferPool {
   /// contiguous runs into vectored device writes. Takes each frame's
   /// exclusive latch around stamping + staging so concurrent readers
   /// never observe checksum bytes mid-update. On failure the Status
-  /// names the pages that could not be written; failed frames stay dirty
-  /// (a prefix may have reached the device — rewriting later is safe).
-  /// Called with no pool lock held (the caller pins the frames instead):
-  /// taking a frame latch under victim_mutex_ would invert the
-  /// frame-latch → victim order.
+  /// names the pages that could not be written; exactly the failed
+  /// frames stay dirty (a prefix of a failed run may have reached the
+  /// device — rewriting later is safe). Called with no pool lock held
+  /// (the caller pins the frames instead): taking a frame latch under
+  /// victim_mutex_ would invert the frame-latch → victim order.
   ///
-  /// On an asynchronous device, every run is staged (WAL flush ordering:
-  /// BeforePageFlush blocks per page BEFORE its bytes are handed to the
-  /// device) and submitted without waiting, overlapping the runs'
-  /// device writes; the call then blocks until all its runs complete,
-  /// so the post-conditions (dirty bits, error reporting, counters) are
-  /// identical to the synchronous path.
+  /// A synchronous device gets one WritePages per contiguous run, and a
+  /// failed run does not stop the later ones. An asynchronous device gets
+  /// every staged page in one WritePagesAsync batch (WAL flush ordering:
+  /// BeforePageFlush blocks per page BEFORE its bytes are staged), so the
+  /// ring sees one deep submission; the call then blocks until the batch
+  /// completes, so the post-conditions (dirty bits, error reporting,
+  /// counters) are identical on both paths.
   Status FlushFramesOrdered(std::vector<size_t> frame_indices)
       EXCLUDES(victim_mutex_);
 
   /// One claimed-but-unfilled prefetch page: in-flight marker published
-  /// in its shard, victim frame reserved with pin_count 1.
+  /// in its shard, victim frame reserved with pin_count 1. When the
+  /// victim was dirty, `victim_page` is the page it still holds until
+  /// its write-back lands; otherwise kInvalidPageId.
   struct PrefetchClaim {
     PageId page_id;
     size_t frame_index;
+    PageId victim_page = kInvalidPageId;
   };
+
+  /// Claims victim frames for `ids` (sorted, distinct, pre-filtered for
+  /// residency), writes the dirty victims back as one ordered batch, and
+  /// reads the pages into the claimed frames. The shared body of
+  /// Prefetch and ReadAhead.
+  Status ReadAheadBatch(std::span<const PageId> ids);
+
+  /// Hands the claims' frames to the device read (asynchronously on an
+  /// async device) and installs the pages; marks them read-ahead first.
+  Status SubmitReadAhead(std::vector<PrefetchClaim> claims);
+
+  /// Read-ahead accounting: set / clear `frame.prefetched`, keeping
+  /// read_ahead_pending_ exact. ClearReadAhead reports whether the mark
+  /// was set (first touch of a read-ahead page).
+  void MarkReadAhead(Frame& frame);
+  bool ClearReadAhead(Frame& frame);
+
+  /// Clears a frame whose page just left the table (evicted).
+  void ResetEvicted(Frame& frame);
 
   /// Completion half of Prefetch, shared by the synchronous path and the
   /// async completion callback (device reaper thread): installs each
@@ -379,12 +440,25 @@ class BufferPool {
   void BeginAsyncBatch();
   void EndAsyncBatch();
 
-  /// Finds a victim frame via the clock algorithm, writing it back if
-  /// dirty, and removes it from the page table. Returns FailedPrecondition
-  /// if every frame is pinned. The returned frame is unreachable but has
-  /// pin_count 0 — callers that release victim_mutex_ before installing
-  /// must set pin_count first so a concurrent sweep cannot hand the frame
-  /// out again.
+  /// Finds a victim frame via the clock algorithm and reserves it with
+  /// pin_count 1, so no later sweep hands it out again once
+  /// victim_mutex_ drops. Returns FailedPrecondition if every frame is
+  /// pinned. A clean victim comes back evicted (unreachable, no page). A
+  /// dirty victim (`*needs_writeback`) still holds its page: its table
+  /// entry is marked in flight, so fetchers of the page wait, and the
+  /// caller must write it back and then call FinishEviction.
+  Status ClaimVictim(size_t* frame_index, bool* needs_writeback)
+      REQUIRES(victim_mutex_);
+
+  /// Completes a dirty victim's eviction: with its write landed, drops
+  /// the page from the table and leaves the frame reserved for the
+  /// caller; with the write failed, republishes the frame for its page,
+  /// still dirty, and unpins it. Wakes the page's waiters either way.
+  void FinishEviction(size_t frame_index, PageId victim_page, bool written);
+
+  /// ClaimVictim with the write-back done inline (one page, under
+  /// victim_mutex_ — the on-demand miss path). On a failed write the
+  /// victim stays resident and dirty and the error is returned.
   Status GetVictimFrame(size_t* frame_index) REQUIRES(victim_mutex_);
 
   /// Returns a claimed-but-uninstalled frame to the free list and erases
@@ -423,6 +497,8 @@ class BufferPool {
   CondVar async_cv_;
   size_t async_inflight_ GUARDED_BY(async_mu_) = 0;
   std::atomic<uint32_t> read_ahead_window_{kDefaultReadAheadWindow};
+  /// Frames with `prefetched` set (see Frame::prefetched).
+  std::atomic<size_t> read_ahead_pending_{0};
 #ifndef NDEBUG
   std::atomic<bool> verify_checksums_{true};
 #else

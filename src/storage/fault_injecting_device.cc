@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/strings.h"
+
 namespace fieldrep {
 
 namespace {
@@ -29,6 +31,10 @@ Status FaultInjectingDevice::ReadPage(PageId page_id, void* buf) {
 }
 
 Status FaultInjectingDevice::WritePage(PageId page_id, const void* buf) {
+  if (page_id == plan_->failing_write_page && !plan_->crashed) {
+    return Status::IOError(
+        StringPrintf("injected write failure on page %u", page_id));
+  }
   bool torn = false;
   if (!ChargeOp(&torn)) {
     if (torn && page_id < base_->page_count()) {

@@ -21,6 +21,9 @@ struct FaultPlan {
   /// first half reaches the device and second half does not (a torn
   /// page), instead of failing cleanly.
   bool torn_final_write = false;
+  /// Writes to this page fail cleanly (a bad sector, not a crash): the
+  /// page keeps its old bytes and every other operation proceeds.
+  PageId failing_write_page = kInvalidPageId;
 
   /// True once the crash has tripped; every later operation fails.
   bool crashed = false;
@@ -40,6 +43,7 @@ struct FaultPlan {
   void Reset() {
     writes_until_crash = 0;
     torn_final_write = false;
+    failing_write_page = kInvalidPageId;
     crashed = false;
     ops_seen = 0;
   }

@@ -28,6 +28,12 @@ namespace fieldrep {
 ///   bytes_written    bytes physically written to the device
 ///   async_reads      pages whose physical read was submitted asynchronously
 ///   async_writes     pages whose physical write was submitted asynchronously
+///   read_batches     read-ahead batches handed to the device
+///                    (batched_reads / read_batches = pages per batch)
+///   write_batches    write submissions to the device: one per single-page
+///                    eviction write, per run on a synchronous device, per
+///                    flush on an asynchronous one
+///                    (disk_writes / write_batches = pages per submission)
 ///   read_ns          wall-clock nanoseconds in device reads
 ///   write_ns         wall-clock nanoseconds in device writes
 ///   sync_ns          wall-clock nanoseconds in device syncs
@@ -41,6 +47,8 @@ namespace fieldrep {
   X(coalesced_writes)               \
   X(async_reads)                    \
   X(async_writes)                   \
+  X(read_batches)                   \
+  X(write_batches)                  \
   X(bytes_read)                     \
   X(bytes_written)                  \
   X(read_ns)                        \

@@ -258,6 +258,7 @@ Status WalManager::CommitTopLevel(WalTxn* txn, uint64_t* commit_lsn) {
       commit.type = LogRecordType::kCommit;
       commit.txn_id = txn_id;
       s = writer_.Append(commit, &end_lsn);
+      end_lsn += lsn_base_;
     }
     if (s.ok()) {
       // Group-commit mode never syncs inline: the committer flushes and
@@ -297,9 +298,12 @@ Status WalManager::WaitDurable(uint64_t lsn) {
   if (lsn == 0) return Status::OK();
   UniqueMutexLock glock(group_mu_);
   for (;;) {
-    // Lock order group_mu_ -> log_mu_ (durable_lsn() takes log_mu_);
-    // nothing takes them the other way around.
-    if (durable_lsn() >= lsn) return Status::OK();
+    // Lock order group_mu_ -> log_mu_; nothing takes them the other way
+    // around.
+    {
+      MutexLock lock(log_mu_);
+      if (lsn_base_ + writer_.durable_lsn() >= lsn) return Status::OK();
+    }
     if (broken()) {
       return Status::FailedPrecondition(
           "write-ahead log is in a failed state; reopen the database");
@@ -322,7 +326,7 @@ Status WalManager::WaitDurable(uint64_t lsn) {
     {
       MutexLock lock(log_mu_);
       s = writer_.Flush();
-      target = writer_.next_lsn();
+      target = lsn_base_ + writer_.next_lsn();
     }
     const uint64_t sync_start_ns = NowNs();
     if (s.ok()) s = log_device_->Sync();
@@ -330,7 +334,9 @@ Status WalManager::WaitDurable(uint64_t lsn) {
       group_sync_ns_.Observe(NowNs() - sync_start_ns);
       group_batch_size_.Observe(batch);
       MutexLock lock(log_mu_);
-      writer_.MarkDurable(target);
+      // A checkpoint that restarted the log meanwhile already made
+      // everything through `target` durable.
+      if (target > lsn_base_) writer_.MarkDurable(target - lsn_base_);
       stats_.log_syncs = writer_.syncs();
       stats_.log_page_writes = writer_.page_writes();
       ++stats_.group_batches;
@@ -383,7 +389,9 @@ Status WalManager::CheckpointImpl() {
   // Every logged effect is now on the database device: the log content is
   // dead. Start the next epoch, which logically truncates it.
   MutexLock lock(log_mu_);
+  const uint64_t epoch_bytes = writer_.next_lsn();
   FIELDREP_RETURN_IF_ERROR(writer_.Reset(writer_.epoch() + 1));
+  lsn_base_ += epoch_bytes;
   ++stats_.checkpoints;
   stats_.checkpoint_pages += dirty;
   stats_.log_page_writes = writer_.page_writes();
@@ -495,7 +503,7 @@ bool WalManager::CanEvict(PageId page_id) const {
 
 Status WalManager::BeforePageFlush(PageId /*page_id*/, uint64_t page_lsn) {
   MutexLock lock(log_mu_);
-  if (page_lsn == 0 || page_lsn <= writer_.durable_lsn()) {
+  if (page_lsn == 0 || page_lsn <= lsn_base_ + writer_.durable_lsn()) {
     return Status::OK();
   }
   // Write-ahead rule: the log must be durable through this page's last

@@ -272,6 +272,13 @@ class WalManager : public PageObserver {
   /// across a call into the buffer pool.
   mutable Mutex log_mu_{LockRank::kWalLog, "wal.log_mu"};
   WalStats stats_ GUARDED_BY(log_mu_);
+  /// Log bytes of every epoch before the current one. The commit LSNs
+  /// WaitDurable compares and the page LSNs BeforePageFlush compares are
+  /// global (base + offset in the epoch): a commit that a checkpoint
+  /// overtook before its durability wait still reads as durable after the
+  /// log restarts at offset 0 — the checkpoint synced it — instead of
+  /// waiting for the new epoch to grow past its old offset.
+  uint64_t lsn_base_ GUARDED_BY(log_mu_) = 0;
 
   /// Group-commit coordinator state. Lock order (enforced by LockRank):
   /// group_mu_ before log_mu_ (WaitDurable holds group_mu_ only around

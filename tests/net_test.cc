@@ -29,6 +29,7 @@
 #include "storage/memory_device.h"
 #include "telemetry/metrics.h"
 #include "test_util.h"
+#include "wal/wal_manager.h"
 
 namespace fieldrep {
 namespace {
@@ -1134,11 +1135,13 @@ struct ServedTwoSetDb {
   std::unique_ptr<Database> db;
   std::unique_ptr<net::Server> server;
 
-  static ServedTwoSetDb Start(const char* tag, int rows_per_set) {
+  static ServedTwoSetDb Start(const char* tag, int rows_per_set,
+                              uint64_t checkpoint_threshold_bytes = 0) {
     ServedTwoSetDb s;
     Database::Options db_options;
     db_options.enable_wal = true;
     db_options.wal_group_commit = true;
+    db_options.wal_checkpoint_threshold_bytes = checkpoint_threshold_bytes;
     auto db_or = Database::Open(db_options);
     EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
     if (!db_or.ok()) return s;
@@ -1228,6 +1231,65 @@ TEST(NetConcurrencyTest, DisjointTypedWritersNeverConflict) {
       EXPECT_EQ(row[0].as_int32(), kRounds) << "set " << set_name;
     }
   }
+  served.server->Stop();
+  ExpectCleanIntegrity(served.db.get());
+}
+
+/// Auto-checkpoint with server sessions live. While one explicit
+/// transaction stays open, four sessions' auto-commits pass the log-size
+/// threshold: none of them may attempt a checkpoint (an attempt logs the
+/// catalog state blob as a transaction of its own before the WAL refuses
+/// it, so the log would grow by a blob per commit and never shrink). Once
+/// the transaction commits, the next commit checkpoints.
+TEST(NetConcurrencyTest, AutoCheckpointWaitsForOpenTransaction) {
+  ServedTwoSetDb served =
+      ServedTwoSetDb::Start("auto_ckpt", 4, /*checkpoint_threshold_bytes=*/1);
+  ASSERT_NE(served.server, nullptr);
+  WalManager* wal = served.db->wal();
+  ASSERT_NE(wal, nullptr);
+
+  auto holder_or = Client::Connect(served.server->address());
+  FR_ASSERT_OK(holder_or.status());
+  auto& holder = *holder_or.value();
+  UpdateResult ur;
+  FR_ASSERT_OK(holder.Begin());
+  FR_ASSERT_OK(holder.Replace(SetValIn("A", 0, 1), &ur));
+  const WalStats before = wal->stats();
+
+  constexpr int kSessions = 4;
+  constexpr int kCommitsPerSession = 10;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kSessions; ++t) {
+    writers.emplace_back([&, t] {
+      auto client_or = Client::Connect(served.server->address());
+      if (!client_or.ok()) {
+        ++failures;
+        return;
+      }
+      for (int i = 1; i <= kCommitsPerSession; ++i) {
+        UpdateResult r;
+        Status s;
+        do {  // wait-or-die between the writers on B is retryable
+          s = client_or.value()->Replace(SetValIn("B", t, i), &r);
+        } while (s.IsAborted());
+        if (!s.ok()) ++failures;
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // One WAL transaction per auto-commit and nothing else: no state blob
+  // was logged, and no checkpoint happened under the open transaction.
+  const WalStats during = wal->stats();
+  EXPECT_EQ(during.transactions - before.transactions,
+            static_cast<uint64_t>(kSessions * kCommitsPerSession));
+  EXPECT_EQ(during.checkpoints, before.checkpoints);
+
+  FR_ASSERT_OK(holder.Commit());
+  FR_ASSERT_OK(holder.Replace(SetValIn("A", 1, 2), &ur));
+  EXPECT_GT(wal->stats().checkpoints, before.checkpoints);
   served.server->Stop();
   ExpectCleanIntegrity(served.db.get());
 }

@@ -27,10 +27,10 @@ struct RunOutcome {
 };
 
 RunOutcome RunConfig(Database* db, const ReadQuery& query, size_t threads,
-                     uint32_t window) {
+                     bool read_ahead) {
   RunOutcome out;
   FR_EXPECT_OK(db->SetWorkerThreads(threads));
-  db->pool().set_read_ahead_window(window);
+  db->pool().set_read_ahead_window(read_ahead ? kDefaultReadAheadWindow : 0);
   FR_EXPECT_OK(db->ColdStart());
   FR_EXPECT_OK(db->Retrieve(query, &out.result));
   out.stats = db->io_stats();
@@ -38,9 +38,9 @@ RunOutcome RunConfig(Database* db, const ReadQuery& query, size_t threads,
 }
 
 void ExpectSameOutcome(const RunOutcome& base, const RunOutcome& run,
-                       size_t threads, uint32_t window) {
+                       size_t threads, bool read_ahead) {
   SCOPED_TRACE(::testing::Message()
-               << "threads=" << threads << " window=" << window);
+               << "threads=" << threads << " read_ahead=" << read_ahead);
   ASSERT_EQ(base.result.rows.size(), run.result.rows.size());
   for (size_t i = 0; i < base.result.rows.size(); ++i) {
     ASSERT_EQ(base.result.rows[i].size(), run.result.rows[i].size());
@@ -58,6 +58,11 @@ void ExpectSameOutcome(const RunOutcome& base, const RunOutcome& run,
   EXPECT_EQ(base.stats.hits, run.stats.hits);
   EXPECT_EQ(base.stats.disk_reads, run.stats.disk_reads);
   EXPECT_EQ(base.stats.disk_writes, run.stats.disk_writes);
+  if (read_ahead) {
+    EXPECT_GT(run.stats.batched_reads, 0u);
+  } else {
+    EXPECT_EQ(run.stats.batched_reads, 0u);
+  }
 }
 
 void ExpectParallelEquivalence(const WorkloadOptions& options,
@@ -67,13 +72,13 @@ void ExpectParallelEquivalence(const WorkloadOptions& options,
   ModelWorkload workload = std::move(workload_or).value();
   Database* db = workload.db.get();
 
-  RunOutcome base = RunConfig(db, query, /*threads=*/1, /*window=*/16);
+  RunOutcome base = RunConfig(db, query, /*threads=*/1, /*read_ahead=*/true);
   ASSERT_FALSE(::testing::Test::HasFailure());
   ASSERT_GT(base.result.rows.size(), 0u);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (uint32_t window : {uint32_t{16}, uint32_t{0}}) {
-      RunOutcome run = RunConfig(db, query, threads, window);
-      ExpectSameOutcome(base, run, threads, window);
+    for (bool read_ahead : {true, false}) {
+      RunOutcome run = RunConfig(db, query, threads, read_ahead);
+      ExpectSameOutcome(base, run, threads, read_ahead);
     }
   }
   FR_EXPECT_OK(db->SetWorkerThreads(1));
@@ -114,6 +119,17 @@ TEST(ParallelEquivalenceTest, NoReplicationFunctionalJoin) {
   options.s_count = 300;
   options.f = 2;
   options.strategy = ModelStrategy::kNoReplication;
+  ExpectParallelEquivalence(options, RangeQuery(options.s_count * options.f));
+}
+
+// The pool holds the query, but each stage's page set is larger than the
+// pool-wide read-ahead budget, which the workers' cursors share.
+TEST(ParallelEquivalenceTest, StagesLargerThanReadAheadBudget) {
+  WorkloadOptions options;
+  options.s_count = 1000;
+  options.f = 2;
+  options.strategy = ModelStrategy::kNoReplication;
+  options.pool_frames = 192;
   ExpectParallelEquivalence(options, RangeQuery(options.s_count * options.f));
 }
 

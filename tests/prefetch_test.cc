@@ -17,6 +17,7 @@
 #include "storage/checksum.h"
 #include "storage/fault_injecting_device.h"
 #include "storage/memory_device.h"
+#include "storage/read_ahead.h"
 #include "storage/record_file.h"
 #include "test_util.h"
 
@@ -178,10 +179,151 @@ TEST(ElevatorFlushTest, FlushesInAscendingOrderWithContiguousRunsCoalesced) {
   EXPECT_EQ(device.batches()[0],
             (std::vector<PageId>{pages[0], pages[1], pages[2], pages[3]}));
   EXPECT_EQ(device.batches()[1], std::vector<PageId>{pages[6]});
-  // Logical writes count every page; coalesced_writes only multi-page runs.
+  // Logical writes count every page; coalesced_writes only multi-page runs;
+  // a synchronous device gets one submission per run.
   EXPECT_EQ(pool.stats().disk_writes, 5u);
   EXPECT_EQ(pool.stats().coalesced_writes, 4u);
   EXPECT_EQ(pool.stats().bytes_written, 5u * kPageSize);
+  EXPECT_EQ(pool.stats().write_batches, 2u);
+}
+
+// --- Stage read-ahead budget ---------------------------------------------------
+
+TEST(ReadAheadTest, PoolWideBudgetBoundsUnconsumedPages) {
+  MemoryDevice device;
+  BufferPool pool(&device, 32);
+  std::vector<PageId> pages = SeedPages(&pool, 20);
+  ASSERT_EQ(pool.read_ahead_budget(), 8u);  // a quarter of the frames
+
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
+  EXPECT_EQ(covered, 8u);
+  EXPECT_EQ(pool.read_ahead_pending(), 8u);
+  EXPECT_EQ(pool.stats().batched_reads, 8u);
+  EXPECT_EQ(pool.stats().read_batches, 1u);
+
+  // Budget used up: nothing more is announced.
+  FR_ASSERT_OK(pool.ReadAhead(std::span<const PageId>(pages).subspan(8),
+                              &covered));
+  EXPECT_EQ(covered, 0u);
+  EXPECT_EQ(pool.stats().batched_reads, 8u);
+
+  // Consuming read-ahead pages returns their budget; the first fetch is
+  // charged as the read it replaced.
+  for (int i = 0; i < 4; ++i) {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.FetchPage(pages[i], &guard, LatchMode::kShared));
+  }
+  EXPECT_EQ(pool.read_ahead_pending(), 4u);
+  EXPECT_EQ(pool.stats().disk_reads, 4u);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  FR_ASSERT_OK(pool.ReadAhead(std::span<const PageId>(pages).subspan(8),
+                              &covered));
+  EXPECT_EQ(covered, 4u);
+  EXPECT_EQ(pool.read_ahead_pending(), 8u);
+  EXPECT_EQ(pool.stats().read_batches, 2u);
+}
+
+TEST(ReadAheadTest, CursorTopsUpAndReadsTheWholeStageAhead) {
+  MemoryDevice device;
+  BufferPool pool(&device, 32);  // budget 8, well under the stage's 20
+  std::vector<PageId> pages = SeedPages(&pool, 20);
+  std::vector<Oid> oids;
+  for (PageId page : pages) {
+    oids.push_back(Oid(1, page, 0));
+    oids.push_back(Oid(1, page, 1));  // two items per page
+  }
+
+  ReadAheadCursor cursor(&pool, oids);
+  for (size_t i = 0; i < oids.size(); ++i) {
+    cursor.Advance(i);
+    EXPECT_LE(pool.read_ahead_pending(), pool.read_ahead_budget());
+    PageGuard guard;
+    FR_ASSERT_OK(pool.FetchPage(oids[i].page_id, &guard, LatchMode::kShared));
+  }
+  // Every page was read ahead, in several top-ups, and each was charged
+  // exactly once: the logical counters match on-demand reading.
+  EXPECT_EQ(pool.stats().batched_reads, 20u);
+  EXPECT_GT(pool.stats().read_batches, 2u);
+  EXPECT_EQ(pool.stats().disk_reads, 20u);
+  EXPECT_EQ(pool.stats().hits, 20u);
+  EXPECT_EQ(pool.read_ahead_pending(), 0u);
+  EXPECT_EQ(pool.total_pins(), 0u);
+}
+
+TEST(ReadAheadTest, WindowZeroTurnsTheCursorOff) {
+  MemoryDevice device;
+  BufferPool pool(&device, 32);
+  std::vector<PageId> pages = SeedPages(&pool, 4);
+  pool.set_read_ahead_window(0);
+  std::vector<Oid> oids;
+  for (PageId page : pages) oids.push_back(Oid(1, page, 0));
+  ReadAheadCursor cursor(&pool, oids);
+  cursor.Advance(0);
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
+  EXPECT_EQ(covered, 0u);
+  EXPECT_EQ(pool.pages_cached(), 0u);
+  EXPECT_EQ(pool.stats().batched_reads, 0u);
+}
+
+// --- Batched eviction write-back ------------------------------------------------
+
+TEST(EvictionWriteBackTest, FailedVictimStaysDirtyAndResidentOthersLand) {
+  MemoryDevice disk;
+  FaultPlan plan;
+  FaultInjectingDevice device(&disk, &plan);
+  BufferPool pool(&device, 4);
+  std::vector<PageId> pages = SeedPages(&pool, 12);
+
+  // Four dirty, non-adjacent pages fill the pool, so each is a run of its
+  // own in the victims' write-back batch.
+  const std::vector<PageId> victims = {pages[0], pages[2], pages[4],
+                                       pages[6]};
+  for (size_t k = 0; k < victims.size(); ++k) {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.FetchPage(victims[k], &guard));
+    guard.data()[5] = static_cast<uint8_t>(0xC0 + k);
+    guard.MarkDirty();
+  }
+  plan.failing_write_page = victims[2];
+  pool.ResetStats();
+
+  // Reading four other pages ahead claims all four dirty frames; their
+  // write-backs go to the device together, and one of them fails.
+  Status s = pool.Prefetch(
+      std::vector<PageId>{pages[8], pages[9], pages[10], pages[11]});
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find(StringPrintf("[%u]", victims[2])),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.ToString().find("stay dirty"), std::string::npos)
+      << s.ToString();
+
+  // Exactly the failed victim stays dirty and resident, bytes intact; its
+  // claim was dropped, the other three reads went ahead.
+  EXPECT_EQ(pool.DirtyPageIds(), std::vector<PageId>{victims[2]});
+  ASSERT_NE(pool.PeekPage(victims[2]), nullptr);
+  EXPECT_EQ(pool.PeekPage(victims[2])[5], 0xC2);
+  EXPECT_EQ(pool.stats().disk_writes, 3u);
+  EXPECT_EQ(pool.stats().write_batches, 4u);
+  EXPECT_EQ(pool.stats().batched_reads, 3u);
+  EXPECT_EQ(pool.stats().read_batches, 1u);
+  EXPECT_EQ(pool.total_pins(), 0u);
+
+  // No other victim's bytes were lost: they are on the device.
+  uint8_t raw[kPageSize];
+  for (size_t k : {0u, 1u, 3u}) {
+    FR_ASSERT_OK(disk.ReadPage(victims[k], raw));
+    EXPECT_EQ(raw[5], static_cast<uint8_t>(0xC0 + k)) << "victim " << k;
+  }
+
+  // Repair the sector: the still-dirty frame flushes like any other.
+  plan.Reset();
+  FR_ASSERT_OK(pool.FlushAll());
+  FR_ASSERT_OK(disk.ReadPage(victims[2], raw));
+  EXPECT_EQ(raw[5], 0xC2);
+  EXPECT_TRUE(pool.DirtyPageIds().empty());
 }
 
 // --- WAL observer interaction ------------------------------------------------

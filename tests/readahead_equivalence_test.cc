@@ -1,6 +1,7 @@
-// Asserts the PR's central invariant at full-query granularity: the
+// Asserts read-ahead's central invariant at full-query granularity: the
 // logical I/O counts MeasureQueryCosts reports (the paper's cost unit)
-// are byte-identical with the read-ahead window on or off. Links the
+// are byte-identical with read-ahead (stage cursors, scan windows,
+// propagation batches, batched eviction write-back) on or off. Links the
 // bench harness so the assertion covers exactly the workload the
 // empirical benchmarks measure.
 
@@ -17,10 +18,10 @@ using ::fieldrep::bench::MeasuredCosts;
 using ::fieldrep::bench::ModelWorkload;
 using ::fieldrep::bench::WorkloadOptions;
 
-MeasuredCosts MeasureWithWindow(const WorkloadOptions& base_options,
-                                uint32_t window) {
+MeasuredCosts MeasureWithReadAhead(const WorkloadOptions& base_options,
+                                   bool read_ahead) {
   WorkloadOptions options = base_options;
-  options.read_ahead_window = window;
+  options.read_ahead_window = read_ahead ? kDefaultReadAheadWindow : 0;
   auto workload_or = BuildModelWorkload(options);
   EXPECT_TRUE(workload_or.ok()) << workload_or.status().ToString();
   if (!workload_or.ok()) return {};
@@ -31,18 +32,19 @@ MeasuredCosts MeasureWithWindow(const WorkloadOptions& base_options,
   return costs_or.ok() ? costs_or.value() : MeasuredCosts{};
 }
 
-void ExpectWindowIndependentLogicalIo(WorkloadOptions options) {
-  MeasuredCosts with = MeasureWithWindow(options, 16);
-  MeasuredCosts without = MeasureWithWindow(options, 0);
-  ASSERT_FALSE(::testing::Test::HasFailure());
+MeasuredCosts ExpectReadAheadIndependentLogicalIo(WorkloadOptions options) {
+  MeasuredCosts with = MeasureWithReadAhead(options, true);
+  MeasuredCosts without = MeasureWithReadAhead(options, false);
+  EXPECT_FALSE(::testing::Test::HasFailure());
   // Identical workload build (same seed) + identical query ranges (same
-  // measurement seed) must yield the exact same logical counts: the
-  // read-ahead window changes physical scheduling only.
+  // measurement seed) must yield the exact same logical counts:
+  // read-ahead changes physical scheduling only.
   EXPECT_EQ(with.read_io, without.read_io);
   EXPECT_EQ(with.update_io, without.update_io);
   // And the physical counters must show the batching actually happened.
   EXPECT_GT(with.batched_reads, 0.0);
   EXPECT_EQ(without.batched_reads, 0.0);
+  return with;
 }
 
 TEST(ReadAheadEquivalenceTest, UnclusteredInPlaceLogicalIoMatches) {
@@ -51,7 +53,7 @@ TEST(ReadAheadEquivalenceTest, UnclusteredInPlaceLogicalIoMatches) {
   options.f = 2;
   options.clustered = false;
   options.strategy = ModelStrategy::kInPlace;
-  ExpectWindowIndependentLogicalIo(options);
+  ExpectReadAheadIndependentLogicalIo(options);
 }
 
 TEST(ReadAheadEquivalenceTest, ClusteredNoReplicationLogicalIoMatches) {
@@ -60,7 +62,7 @@ TEST(ReadAheadEquivalenceTest, ClusteredNoReplicationLogicalIoMatches) {
   options.f = 1;
   options.clustered = true;
   options.strategy = ModelStrategy::kNoReplication;
-  ExpectWindowIndependentLogicalIo(options);
+  ExpectReadAheadIndependentLogicalIo(options);
 }
 
 TEST(ReadAheadEquivalenceTest, SeparateStrategyLogicalIoMatches) {
@@ -69,7 +71,21 @@ TEST(ReadAheadEquivalenceTest, SeparateStrategyLogicalIoMatches) {
   options.f = 2;
   options.clustered = false;
   options.strategy = ModelStrategy::kSeparate;
-  ExpectWindowIndependentLogicalIo(options);
+  ExpectReadAheadIndependentLogicalIo(options);
+}
+
+// A pool that still holds every page a query touches, but whose
+// read-ahead budget (a quarter of the frames) is smaller than one stage's
+// page set: the stage cursors must top up mid-stage.
+TEST(ReadAheadEquivalenceTest, StageLargerThanReadAheadBudgetLogicalIoMatches) {
+  WorkloadOptions options;
+  options.s_count = 1000;
+  options.f = 2;
+  options.clustered = false;
+  options.strategy = ModelStrategy::kNoReplication;
+  options.pool_frames = 192;
+  MeasuredCosts with = ExpectReadAheadIndependentLogicalIo(options);
+  EXPECT_GT(with.batched_reads, static_cast<double>(options.pool_frames / 4));
 }
 
 }  // namespace

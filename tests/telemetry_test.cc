@@ -156,6 +156,24 @@ TEST(MetricsRegistryTest, JsonRoundTripsThroughParseSamplesJson) {
 // Query tracing
 // ---------------------------------------------------------------------------
 
+// The read-ahead knobs reach every exposition (fieldrep_stats renders the
+// registry's text form): the scan window and the pool-wide budget.
+TEST(MetricsRegistryTest, DatabaseExposesReadAheadWindowAndBudget) {
+  auto db = OpenEmployeeDatabase(/*pool_frames=*/64);
+  const std::string text = db->metrics()->RenderText();
+  EXPECT_NE(text.find("fieldrep_pool_read_ahead_window"), std::string::npos);
+  EXPECT_NE(text.find("fieldrep_pool_read_ahead_budget"), std::string::npos);
+  EXPECT_NE(text.find("fieldrep_pool_read_batches_total"), std::string::npos);
+  EXPECT_NE(text.find("fieldrep_pool_write_batches_total"), std::string::npos);
+  std::vector<MetricSample> samples;
+  FR_ASSERT_OK(MetricsRegistry::ParseSamplesJson(db->MetricsJson(), &samples));
+  std::map<std::string, double> gauges;
+  for (const MetricSample& s : samples) gauges[s.name] = s.value;
+  EXPECT_EQ(gauges["fieldrep_pool_read_ahead_window"],
+            static_cast<double>(kDefaultReadAheadWindow));
+  EXPECT_EQ(gauges["fieldrep_pool_read_ahead_budget"], 16.0);
+}
+
 TEST(QueryTraceTest, ReadStageDeltasSumToQueryTotal) {
   auto db = OpenEmployeeDatabase();
   PopulateEmployees(db.get(), 2, 4, 200);

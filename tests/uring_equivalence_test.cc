@@ -27,9 +27,9 @@ using ::fieldrep::bench::ModelWorkload;
 using ::fieldrep::bench::WorkloadOptions;
 
 std::string BackendTempPath(Database::StorageBackend backend,
-                            uint32_t window) {
-  return StringPrintf("/tmp/fieldrep_uring_equiv_%d_%u_%d.db",
-                      static_cast<int>(backend), window,
+                            bool read_ahead) {
+  return StringPrintf("/tmp/fieldrep_uring_equiv_%d_%d_%d.db",
+                      static_cast<int>(backend), read_ahead ? 1 : 0,
                       static_cast<int>(::getpid()));
 }
 
@@ -38,11 +38,11 @@ std::string BackendTempPath(Database::StorageBackend backend,
 /// every cell sees an identical database image.
 MeasuredCosts MeasureOnBackend(const WorkloadOptions& base_options,
                                Database::StorageBackend backend,
-                               uint32_t window) {
+                               bool read_ahead) {
   WorkloadOptions options = base_options;
   options.storage_backend = backend;
-  options.read_ahead_window = window;
-  options.file_path = BackendTempPath(backend, window);
+  options.read_ahead_window = read_ahead ? kDefaultReadAheadWindow : 0;
+  options.file_path = BackendTempPath(backend, read_ahead);
   std::remove(options.file_path.c_str());
   auto workload_or = BuildModelWorkload(options);
   EXPECT_TRUE(workload_or.ok()) << workload_or.status().ToString();
@@ -56,27 +56,33 @@ MeasuredCosts MeasureOnBackend(const WorkloadOptions& base_options,
   return costs_or.ok() ? costs_or.value() : MeasuredCosts{};
 }
 
-/// The full cell matrix: windows {0, 16} x backends {file, uring}. All
-/// four cells must report the same logical I/O (the uring cells with an
-/// inactive ring degrade to the synchronous path — still a valid cell).
+/// The full cell matrix: read-ahead {off, on} x backends {file, uring}.
+/// All four cells must report the same logical I/O (the uring cells with
+/// an inactive ring degrade to the synchronous path — still a valid
+/// cell), and the read-ahead cells must actually read ahead.
 void ExpectBackendIndependentLogicalIo(const WorkloadOptions& options) {
-  const uint32_t kWindows[] = {0, 16};
   MeasuredCosts reference =
-      MeasureOnBackend(options, Database::StorageBackend::kFile, 0);
+      MeasureOnBackend(options, Database::StorageBackend::kFile, false);
   ASSERT_FALSE(::testing::Test::HasFailure());
-  for (uint32_t window : kWindows) {
+  for (bool read_ahead : {false, true}) {
     for (Database::StorageBackend backend :
          {Database::StorageBackend::kFile,
           Database::StorageBackend::kUring}) {
-      if (backend == Database::StorageBackend::kFile && window == 0) {
+      if (backend == Database::StorageBackend::kFile && !read_ahead) {
         continue;  // that's the reference cell
       }
-      MeasuredCosts costs = MeasureOnBackend(options, backend, window);
+      MeasuredCosts costs = MeasureOnBackend(options, backend, read_ahead);
       ASSERT_FALSE(::testing::Test::HasFailure());
       EXPECT_EQ(costs.read_io, reference.read_io)
-          << "backend=" << static_cast<int>(backend) << " window=" << window;
+          << "backend=" << static_cast<int>(backend)
+          << " read_ahead=" << read_ahead;
       EXPECT_EQ(costs.update_io, reference.update_io)
-          << "backend=" << static_cast<int>(backend) << " window=" << window;
+          << "backend=" << static_cast<int>(backend)
+          << " read_ahead=" << read_ahead;
+      if (read_ahead) {
+        EXPECT_GT(costs.batched_reads, 0.0)
+            << "backend=" << static_cast<int>(backend);
+      }
     }
   }
 }
@@ -99,6 +105,18 @@ TEST(UringEquivalenceTest, NoReplicationLogicalIoMatchesAcrossBackends) {
   ExpectBackendIndependentLogicalIo(options);
 }
 
+// Every page of the query fits the pool, but one stage's page set is
+// larger than the read-ahead budget, so the cursors top up mid-stage.
+TEST(UringEquivalenceTest, StageLargerThanReadAheadBudgetMatchesAcrossBackends) {
+  WorkloadOptions options;
+  options.s_count = 1000;
+  options.f = 2;
+  options.clustered = false;
+  options.strategy = ModelStrategy::kNoReplication;
+  options.pool_frames = 192;
+  ExpectBackendIndependentLogicalIo(options);
+}
+
 TEST(UringEquivalenceTest, QueryRowsAreIdenticalAcrossBackends) {
   WorkloadOptions options;
   options.s_count = 300;
@@ -111,7 +129,7 @@ TEST(UringEquivalenceTest, QueryRowsAreIdenticalAcrossBackends) {
        {Database::StorageBackend::kFile, Database::StorageBackend::kUring}) {
     WorkloadOptions cell = options;
     cell.storage_backend = backend;
-    cell.file_path = BackendTempPath(backend, /*window=*/16);
+    cell.file_path = BackendTempPath(backend, /*read_ahead=*/true);
     std::remove(cell.file_path.c_str());
     auto workload_or = BuildModelWorkload(cell);
     ASSERT_TRUE(workload_or.ok()) << workload_or.status().ToString();
