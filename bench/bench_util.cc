@@ -356,11 +356,11 @@ DeviceChoice ConsumeDeviceFlag(int* argc, char** argv) {
     if (std::strncmp(argv[i], "--device=", 9) != 0) continue;
     const char* value = argv[i] + 9;
     if (std::strcmp(value, "file") == 0) {
-      choice = {Database::StorageBackend::kFile, false, "file"};
+      choice = {Database::StorageBackend::kFile, false, "file", true};
     } else if (std::strcmp(value, "uring") == 0) {
-      choice = {Database::StorageBackend::kUring, false, "uring"};
+      choice = {Database::StorageBackend::kUring, false, "uring", true};
     } else if (std::strcmp(value, "uring-direct") == 0) {
-      choice = {Database::StorageBackend::kUring, true, "uring-direct"};
+      choice = {Database::StorageBackend::kUring, true, "uring-direct", true};
     } else {
       std::fprintf(stderr,
                    "warning: unknown --device=%s (want file|uring|"

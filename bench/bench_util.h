@@ -54,8 +54,8 @@ struct WorkloadOptions {
   std::string file_path;
   /// Device implementation for file-backed workloads (ignored when
   /// file_path is empty): the `--device={file,uring,uring-direct}` flag.
-  Database::StorageBackend storage_backend = Database::StorageBackend::kAuto;
-  /// With kUring: open the backing file O_DIRECT.
+  Database::StorageBackend storage_backend = Database::StorageBackend::kFile;
+  /// Open the backing file O_DIRECT.
   bool o_direct = false;
   /// Worker threads for parallel read execution (1 = serial engine).
   size_t worker_threads = 1;
@@ -148,10 +148,12 @@ size_t ConsumeThreadsFlag(int* argc, char** argv, size_t fallback);
 
 /// The `--device=` choice of every raw-I/O bench.
 struct DeviceChoice {
-  Database::StorageBackend backend = Database::StorageBackend::kAuto;
+  Database::StorageBackend backend = Database::StorageBackend::kFile;
   bool o_direct = false;
   /// "file", "uring", or "uring-direct" — for bench output labels.
   const char* name = "file";
+  /// False when no `--device=` flag was given (the defaults above apply).
+  bool given = false;
 };
 
 /// Recognizes and removes `--device={file,uring,uring-direct}`. Unknown

@@ -56,7 +56,7 @@ void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
       options.strategy = strategy;
       options.read_ahead_window = window;
       options.worker_threads = threads;
-      if (device.backend != Database::StorageBackend::kAuto) {
+      if (device.given) {
         // --device selects a real file-backed device; each cell gets a
         // fresh backing file (the default stays on the in-memory device).
         options.storage_backend = device.backend;

@@ -9,7 +9,6 @@
 #include "common/bytes.h"
 #include "common/strings.h"
 #include "storage/slotted_page.h"
-#include "storage/uring_device.h"
 
 namespace fieldrep {
 
@@ -85,17 +84,14 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
   } else if (options.file_path.empty()) {
     db->owned_device_ = std::make_unique<MemoryDevice>();
     db->device_ = db->owned_device_.get();
-  } else if (options.storage_backend == StorageBackend::kUring) {
-    auto uring_device = std::make_unique<UringDevice>();
-    UringDevice::Options uring_options;
-    uring_options.use_o_direct = options.o_direct;
-    FIELDREP_RETURN_IF_ERROR(
-        uring_device->Open(options.file_path, uring_options));
-    db->device_ = uring_device.get();
-    db->owned_device_ = std::move(uring_device);
   } else {
     auto file_device = std::make_unique<FileDevice>();
-    FIELDREP_RETURN_IF_ERROR(file_device->Open(options.file_path));
+    FileDevice::Options device_options;
+    device_options.o_direct = options.o_direct;
+    device_options.async_io =
+        options.storage_backend == StorageBackend::kUring;
+    FIELDREP_RETURN_IF_ERROR(
+        file_device->Open(options.file_path, device_options));
     db->device_ = file_device.get();
     db->owned_device_ = std::move(file_device);
   }
@@ -211,9 +207,9 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
     // The owned device outlives the pool (declaration order above), and
     // the registry is destroyed last, so the capture stays valid for the
     // database's lifetime.
-    if (auto* uring = dynamic_cast<UringDevice*>(db->owned_device_.get())) {
-      db->metrics_->AddCollector([uring](std::vector<MetricSample>* out) {
-        uring->CollectMetrics(out);
+    if (auto* file = dynamic_cast<FileDevice*>(db->owned_device_.get())) {
+      db->metrics_->AddCollector([file](std::vector<MetricSample>* out) {
+        file->CollectMetrics(out);
       });
     }
   }

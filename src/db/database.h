@@ -53,16 +53,14 @@ namespace fieldrep {
 /// \endcode
 class Database : public SetProvider {
  public:
-  /// Which storage device backs a file-backed database (DESIGN.md §15).
+  /// How a file-backed database's FileDevice submits batches (DESIGN.md
+  /// §15).
   enum class StorageBackend {
-    /// kFile today; a future default may prefer the ring when available.
-    kAuto,
-    /// Synchronous pread/pwrite FileDevice.
+    /// No ring: batches coalesce into preadv/pwritev.
     kFile,
-    /// io_uring UringDevice (optionally O_DIRECT). Degrades gracefully:
-    /// without kernel/compile-time io_uring support the device still
-    /// opens and runs on its synchronous fallback path, so selecting
-    /// kUring is always safe.
+    /// Batches go through an io_uring ring. Degrades gracefully: without
+    /// kernel or compile-time io_uring support the device runs without
+    /// the ring, exactly as kFile, so selecting kUring is always safe.
     kUring,
   };
 
@@ -74,10 +72,10 @@ class Database : public SetProvider {
     /// External database device (not owned; overrides file_path). Lets a
     /// test keep the "disk" alive across simulated machine crashes.
     StorageDevice* device = nullptr;
-    /// Device implementation for file-backed databases (ignored for
+    /// Batch submission of a file-backed database's device (ignored for
     /// in-memory and external devices).
-    StorageBackend storage_backend = StorageBackend::kAuto;
-    /// With kUring: open the backing file O_DIRECT (falls back to
+    StorageBackend storage_backend = StorageBackend::kFile;
+    /// Open the backing file O_DIRECT, on either backend (falls back to
     /// buffered I/O when the filesystem refuses the flag).
     bool o_direct = false;
 

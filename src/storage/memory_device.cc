@@ -1,8 +1,11 @@
 #include "storage/memory_device.h"
 
+#include <sys/stat.h>
+
 #include <cstring>
 
 #include "common/strings.h"
+#include "storage/file_device.h"
 
 namespace fieldrep {
 
@@ -41,6 +44,26 @@ Status MemoryDevice::AllocatePage(PageId* page_id) {
   pages_.push_back(std::move(page));
   *page_id = static_cast<PageId>(pages_.size() - 1);
   return Status::OK();
+}
+
+Result<std::unique_ptr<MemoryDevice>> SnapshotFileToMemory(
+    const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) {
+    return Status::NotFound("no such file");
+  }
+  FileDevice file;
+  FIELDREP_RETURN_IF_ERROR(file.Open(path));
+  auto mem = std::make_unique<MemoryDevice>();
+  PageBuffer buf = AllocatePageBuffer();
+  for (PageId page = 0; page < file.page_count(); ++page) {
+    FIELDREP_RETURN_IF_ERROR(file.ReadPage(page, buf.get()));
+    PageId copy_id = 0;
+    FIELDREP_RETURN_IF_ERROR(mem->AllocatePage(&copy_id));
+    FIELDREP_RETURN_IF_ERROR(mem->WritePage(copy_id, buf.get()));
+  }
+  FIELDREP_RETURN_IF_ERROR(file.Close());
+  return mem;
 }
 
 }  // namespace fieldrep

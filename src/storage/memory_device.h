@@ -2,6 +2,7 @@
 #define FIELDREP_STORAGE_MEMORY_DEVICE_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/annotated_mutex.h"
@@ -42,6 +43,12 @@ class MemoryDevice : public StorageDevice {
   mutable Mutex mu_{LockRank::kDevice, "memory_device.mu"};
   std::vector<std::unique_ptr<uint8_t[]>> pages_ GUARDED_BY(mu_);
 };
+
+/// Copies every page of the file at `path` into a fresh MemoryDevice, so a
+/// tool can open a database over the copy and leave the file untouched.
+/// NotFound when no file exists at `path` (none is created).
+Result<std::unique_ptr<MemoryDevice>> SnapshotFileToMemory(
+    const std::string& path);
 
 }  // namespace fieldrep
 

@@ -14,14 +14,18 @@ namespace fieldrep {
 /// \brief Abstraction over the backing store: a flat, growable array of
 /// 4 KiB pages.
 ///
-/// Two implementations are provided: MemoryDevice (the default; the paper's
-/// evaluation is analytic, so a RAM-backed "disk" with exact I/O accounting
-/// at the buffer pool reproduces its cost quantity) and FileDevice (a real
-/// file, for durability within a session and for exercising the same code
-/// path against the OS).
+/// MemoryDevice is the default (the paper's evaluation is analytic, so a
+/// RAM-backed "disk" with exact I/O accounting at the buffer pool
+/// reproduces its cost quantity); FileDevice is a real file, optionally
+/// O_DIRECT and with an io_uring ring for batches. Decorators (fault
+/// injection, corruption) wrap either.
 ///
-/// Devices are not thread-safe; the engine is single-threaded by design,
-/// like the 1989 prototype it reproduces.
+/// The engine calls its device from many threads at once: parallel
+/// readers and server sessions transfer pages concurrently, writers of
+/// disjoint sets allocate concurrently, and an asynchronous device
+/// completes batches on its own thread. The buffer pool never issues two
+/// concurrent transfers of the same page, so per-page ordering is the
+/// pool's job, not the device's.
 class StorageDevice {
  public:
   virtual ~StorageDevice() = default;
@@ -35,9 +39,10 @@ class StorageDevice {
   /// Vectored read: fills `bufs[i]` (kPageSize bytes each) with page
   /// `page_ids[i]`. The default implementation issues one ReadPage per
   /// page, so decorators (fault injection, corruption) keep their per-page
-  /// semantics; FileDevice overrides it to coalesce contiguous runs into
-  /// preadv. On error, the contents of `bufs` are unspecified — callers
-  /// must not install any of the pages.
+  /// semantics; FileDevice overrides it (contiguous runs coalesce into
+  /// preadv, or one SQE per page over its ring). On error, the contents
+  /// of `bufs` are unspecified — callers must not install any of the
+  /// pages.
   virtual Status ReadPages(std::span<const PageId> page_ids,
                            std::span<uint8_t* const> bufs) {
     for (size_t i = 0; i < page_ids.size(); ++i) {
@@ -49,8 +54,9 @@ class StorageDevice {
   /// Vectored write: writes `bufs[i]` to page `page_ids[i]`. The default
   /// implementation issues one WritePage per page (preserving decorator
   /// fault semantics — a simulated crash can land between any two pages of
-  /// a batch); FileDevice coalesces contiguous runs into pwritev. On
-  /// error, a prefix of the batch may have reached the device.
+  /// a batch); FileDevice coalesces contiguous runs into pwritev, or
+  /// submits over its ring. On error, a prefix of the batch may have
+  /// reached the device.
   virtual Status WritePages(std::span<const PageId> page_ids,
                             std::span<const uint8_t* const> bufs) {
     for (size_t i = 0; i < page_ids.size(); ++i) {

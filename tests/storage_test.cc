@@ -8,7 +8,6 @@
 #include "common/strings.h"
 #include "gtest/gtest.h"
 #include "storage/buffer_pool.h"
-#include "storage/file_device.h"
 #include "storage/memory_device.h"
 #include "storage/record_file.h"
 #include "storage/slotted_page.h"
@@ -56,100 +55,6 @@ TEST(MemoryDeviceTest, RejectsUnallocatedAccess) {
   char buf[kPageSize];
   EXPECT_FALSE(device.ReadPage(5, buf).ok());
   EXPECT_FALSE(device.WritePage(5, buf).ok());
-}
-
-TEST(FileDeviceTest, PersistsAcrossReopen) {
-  std::string path = ::testing::TempDir() + "/fieldrep_device_test.db";
-  std::remove(path.c_str());
-  {
-    FileDevice device;
-    FR_ASSERT_OK(device.Open(path));
-    PageId id;
-    FR_ASSERT_OK(device.AllocatePage(&id));
-    char in[kPageSize];
-    std::fill(in, in + kPageSize, 'q');
-    FR_ASSERT_OK(device.WritePage(id, in));
-    FR_ASSERT_OK(device.Close());
-  }
-  {
-    FileDevice device;
-    FR_ASSERT_OK(device.Open(path));
-    EXPECT_EQ(device.page_count(), 1u);
-    char out[kPageSize];
-    FR_ASSERT_OK(device.ReadPage(0, out));
-    EXPECT_EQ(out[100], 'q');
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDeviceTest, ReopenRecoversPageCountFromFileSize) {
-  std::string path = ::testing::TempDir() + "/fieldrep_device_count_test.db";
-  std::remove(path.c_str());
-  {
-    FileDevice device;
-    FR_ASSERT_OK(device.Open(path));
-    char in[kPageSize];
-    std::fill(in, in + kPageSize, 'a');
-    for (int i = 0; i < 5; ++i) {
-      PageId id;
-      FR_ASSERT_OK(device.AllocatePage(&id));
-      EXPECT_EQ(id, static_cast<PageId>(i));
-      in[0] = static_cast<char>('a' + i);
-      FR_ASSERT_OK(device.WritePage(id, in));
-    }
-    FR_ASSERT_OK(device.Close());
-  }
-  {
-    FileDevice device;
-    FR_ASSERT_OK(device.Open(path));
-    EXPECT_EQ(device.page_count(), 5u);
-    char out[kPageSize];
-    for (int i = 0; i < 5; ++i) {
-      FR_ASSERT_OK(device.ReadPage(i, out));
-      EXPECT_EQ(out[0], static_cast<char>('a' + i));
-    }
-    // Allocation continues from the recovered count.
-    PageId id;
-    FR_ASSERT_OK(device.AllocatePage(&id));
-    EXPECT_EQ(id, 5u);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDeviceTest, CloseIsIdempotent) {
-  std::string path = ::testing::TempDir() + "/fieldrep_device_close_test.db";
-  std::remove(path.c_str());
-  FileDevice device;
-  FR_ASSERT_OK(device.Open(path));
-  PageId id;
-  FR_ASSERT_OK(device.AllocatePage(&id));
-  FR_ASSERT_OK(device.Close());
-  FR_ASSERT_OK(device.Close());  // second close: clean no-op
-  // Operations on a closed device fail cleanly rather than crash.
-  char buf[kPageSize] = {0};
-  EXPECT_FALSE(device.ReadPage(0, buf).ok());
-  EXPECT_FALSE(device.WritePage(0, buf).ok());
-  EXPECT_FALSE(device.AllocatePage(&id).ok());
-  std::remove(path.c_str());
-}
-
-TEST(FileDeviceTest, ReadPastEofFailsCleanly) {
-  std::string path = ::testing::TempDir() + "/fieldrep_device_eof_test.db";
-  std::remove(path.c_str());
-  FileDevice device;
-  FR_ASSERT_OK(device.Open(path));
-  PageId id;
-  FR_ASSERT_OK(device.AllocatePage(&id));
-  char buf[kPageSize] = {0};
-  FR_ASSERT_OK(device.WritePage(0, buf));
-  Status s = device.ReadPage(7, buf);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kOutOfRange) << s.ToString();
-  // The failed read does not disturb the device.
-  FR_ASSERT_OK(device.ReadPage(0, buf));
-  EXPECT_EQ(device.page_count(), 1u);
-  FR_ASSERT_OK(device.Close());
-  std::remove(path.c_str());
 }
 
 // --- Slotted page -----------------------------------------------------------

@@ -1,9 +1,9 @@
-// Device-equivalence suite (DESIGN.md §15): the storage backend is a
-// physical-scheduling choice only. For the empirical_io workloads the
+// Device-equivalence suite (DESIGN.md §15): how the FileDevice moves pages
+// is a physical-scheduling choice only. For the empirical_io workloads the
 // logical I/O counts MeasureQueryCosts reports — the paper's cost unit —
-// must be byte-identical between FileDevice and UringDevice, at any
-// read-ahead window, and the query results themselves must be equal
-// row for row.
+// must be byte-identical with the ring off or on, with or without
+// O_DIRECT, at any read-ahead window, and the query results themselves
+// must be equal row for row.
 
 #include <unistd.h>
 
@@ -26,24 +26,41 @@ using ::fieldrep::bench::MeasuredCosts;
 using ::fieldrep::bench::ModelWorkload;
 using ::fieldrep::bench::WorkloadOptions;
 
-std::string BackendTempPath(Database::StorageBackend backend,
-                            bool read_ahead) {
-  return StringPrintf("/tmp/fieldrep_uring_equiv_%d_%d_%d.db",
-                      static_cast<int>(backend), read_ahead ? 1 : 0,
-                      static_cast<int>(::getpid()));
+/// One cell of the device matrix.
+struct DeviceCell {
+  bool ring = false;
+  bool o_direct = false;
+  bool read_ahead = false;
+};
+
+std::string CellTempPath(const DeviceCell& cell) {
+  return StringPrintf("/tmp/fieldrep_uring_equiv_%d_%d_%d_%d.db",
+                      cell.ring ? 1 : 0, cell.o_direct ? 1 : 0,
+                      cell.read_ahead ? 1 : 0, static_cast<int>(::getpid()));
 }
 
-/// Builds the workload file-backed on `backend` and measures the standard
+std::string CellName(const DeviceCell& cell) {
+  return StringPrintf("ring=%d o_direct=%d read_ahead=%d", cell.ring ? 1 : 0,
+                      cell.o_direct ? 1 : 0, cell.read_ahead ? 1 : 0);
+}
+
+/// Points `options` at a fresh backing file configured as `cell`.
+void ConfigureCell(const DeviceCell& cell, WorkloadOptions* options) {
+  options->storage_backend = cell.ring ? Database::StorageBackend::kUring
+                                       : Database::StorageBackend::kFile;
+  options->o_direct = cell.o_direct;
+  options->file_path = CellTempPath(cell);
+  std::remove(options->file_path.c_str());
+}
+
+/// Builds the workload file-backed as `cell` and measures the standard
 /// query pair. The backing file is fresh per cell (same build seed), so
 /// every cell sees an identical database image.
-MeasuredCosts MeasureOnBackend(const WorkloadOptions& base_options,
-                               Database::StorageBackend backend,
-                               bool read_ahead) {
+MeasuredCosts MeasureOnCell(const WorkloadOptions& base_options,
+                            const DeviceCell& cell) {
   WorkloadOptions options = base_options;
-  options.storage_backend = backend;
-  options.read_ahead_window = read_ahead ? kDefaultReadAheadWindow : 0;
-  options.file_path = BackendTempPath(backend, read_ahead);
-  std::remove(options.file_path.c_str());
+  ConfigureCell(cell, &options);
+  options.read_ahead_window = cell.read_ahead ? kDefaultReadAheadWindow : 0;
   auto workload_or = BuildModelWorkload(options);
   EXPECT_TRUE(workload_or.ok()) << workload_or.status().ToString();
   if (!workload_or.ok()) return {};
@@ -56,32 +73,26 @@ MeasuredCosts MeasureOnBackend(const WorkloadOptions& base_options,
   return costs_or.ok() ? costs_or.value() : MeasuredCosts{};
 }
 
-/// The full cell matrix: read-ahead {off, on} x backends {file, uring}.
-/// All four cells must report the same logical I/O (the uring cells with
-/// an inactive ring degrade to the synchronous path — still a valid
-/// cell), and the read-ahead cells must actually read ahead.
+/// The full cell matrix: ring {off, on} x o_direct {off, on} x read-ahead
+/// {off, on}. Every cell must report the reference cell's logical I/O
+/// (a ring the kernel refuses, or O_DIRECT the filesystem refuses, leaves
+/// a still-valid cell), and the read-ahead cells must actually read ahead.
 void ExpectBackendIndependentLogicalIo(const WorkloadOptions& options) {
-  MeasuredCosts reference =
-      MeasureOnBackend(options, Database::StorageBackend::kFile, false);
+  const DeviceCell reference_cell;  // ring off, buffered, no read-ahead
+  MeasuredCosts reference = MeasureOnCell(options, reference_cell);
   ASSERT_FALSE(::testing::Test::HasFailure());
-  for (bool read_ahead : {false, true}) {
-    for (Database::StorageBackend backend :
-         {Database::StorageBackend::kFile,
-          Database::StorageBackend::kUring}) {
-      if (backend == Database::StorageBackend::kFile && !read_ahead) {
-        continue;  // that's the reference cell
-      }
-      MeasuredCosts costs = MeasureOnBackend(options, backend, read_ahead);
-      ASSERT_FALSE(::testing::Test::HasFailure());
-      EXPECT_EQ(costs.read_io, reference.read_io)
-          << "backend=" << static_cast<int>(backend)
-          << " read_ahead=" << read_ahead;
-      EXPECT_EQ(costs.update_io, reference.update_io)
-          << "backend=" << static_cast<int>(backend)
-          << " read_ahead=" << read_ahead;
-      if (read_ahead) {
-        EXPECT_GT(costs.batched_reads, 0.0)
-            << "backend=" << static_cast<int>(backend);
+  for (bool ring : {false, true}) {
+    for (bool o_direct : {false, true}) {
+      for (bool read_ahead : {false, true}) {
+        const DeviceCell cell{ring, o_direct, read_ahead};
+        if (!ring && !o_direct && !read_ahead) continue;  // the reference
+        MeasuredCosts costs = MeasureOnCell(options, cell);
+        ASSERT_FALSE(::testing::Test::HasFailure()) << CellName(cell);
+        EXPECT_EQ(costs.read_io, reference.read_io) << CellName(cell);
+        EXPECT_EQ(costs.update_io, reference.update_io) << CellName(cell);
+        if (read_ahead) {
+          EXPECT_GT(costs.batched_reads, 0.0) << CellName(cell);
+        }
       }
     }
   }
@@ -125,12 +136,9 @@ TEST(UringEquivalenceTest, QueryRowsAreIdenticalAcrossBackends) {
 
   ReadResult results[2];
   int i = 0;
-  for (Database::StorageBackend backend :
-       {Database::StorageBackend::kFile, Database::StorageBackend::kUring}) {
+  for (bool ring : {false, true}) {
     WorkloadOptions cell = options;
-    cell.storage_backend = backend;
-    cell.file_path = BackendTempPath(backend, /*read_ahead=*/true);
-    std::remove(cell.file_path.c_str());
+    ConfigureCell(DeviceCell{ring, false, true}, &cell);
     auto workload_or = BuildModelWorkload(cell);
     ASSERT_TRUE(workload_or.ok()) << workload_or.status().ToString();
     ModelWorkload workload = std::move(workload_or).value();

@@ -18,8 +18,6 @@
 // Exit status: 0 = clean (warnings allowed), 1 = errors found,
 // 2 = the file could not be opened as a database.
 
-#include <sys/stat.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,9 +27,7 @@
 #include "check/check_report.h"
 #include "check/integrity_checker.h"
 #include "db/database.h"
-#include "storage/file_device.h"
 #include "storage/memory_device.h"
-#include "storage/page.h"
 
 namespace {
 
@@ -39,35 +35,9 @@ using fieldrep::CheckOptions;
 using fieldrep::CheckReport;
 using fieldrep::CheckSeverity;
 using fieldrep::Database;
-using fieldrep::FileDevice;
 using fieldrep::IntegrityChecker;
-using fieldrep::kPageSize;
 using fieldrep::MemoryDevice;
-using fieldrep::PageId;
 using fieldrep::Status;
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return stat(path.c_str(), &st) == 0;
-}
-
-/// Copies every page of the file at `path` into a fresh MemoryDevice.
-Status SnapshotFile(const std::string& path,
-                    std::unique_ptr<MemoryDevice>* out) {
-  FileDevice file;
-  FIELDREP_RETURN_IF_ERROR(file.Open(path));
-  auto mem = std::make_unique<MemoryDevice>();
-  uint8_t buf[kPageSize];
-  for (PageId page = 0; page < file.page_count(); ++page) {
-    FIELDREP_RETURN_IF_ERROR(file.ReadPage(page, buf));
-    PageId copy_id = 0;
-    FIELDREP_RETURN_IF_ERROR(mem->AllocatePage(&copy_id));
-    FIELDREP_RETURN_IF_ERROR(mem->WritePage(copy_id, buf));
-  }
-  FIELDREP_RETURN_IF_ERROR(file.Close());
-  *out = std::move(mem);
-  return Status::OK();
-}
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -119,34 +89,30 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  if (!FileExists(db_path)) {
-    std::fprintf(stderr, "fieldrep_fsck: %s: no such file\n",
-                 db_path.c_str());
-    return 2;
-  }
   if (wal_path.empty()) wal_path = db_path + ".wal";
 
   // Snapshot the files so checking is strictly read-only.
-  std::unique_ptr<MemoryDevice> db_copy;
-  Status s = SnapshotFile(db_path, &db_copy);
-  if (!s.ok()) {
+  auto db_copy = fieldrep::SnapshotFileToMemory(db_path);
+  if (!db_copy.ok()) {
     std::fprintf(stderr, "fieldrep_fsck: cannot read %s: %s\n",
-                 db_path.c_str(), s.ToString().c_str());
+                 db_path.c_str(), db_copy.status().ToString().c_str());
     return 2;
   }
   std::unique_ptr<MemoryDevice> wal_copy;
-  const bool have_wal = !no_wal && FileExists(wal_path);
-  if (have_wal) {
-    s = SnapshotFile(wal_path, &wal_copy);
-    if (!s.ok()) {
+  if (!no_wal) {
+    auto snapshot = fieldrep::SnapshotFileToMemory(wal_path);
+    if (snapshot.ok()) {
+      wal_copy = std::move(snapshot).value();
+    } else if (!snapshot.status().IsNotFound()) {
       std::fprintf(stderr, "fieldrep_fsck: cannot read %s: %s\n",
-                   wal_path.c_str(), s.ToString().c_str());
+                   wal_path.c_str(), snapshot.status().ToString().c_str());
       return 2;
     }
   }
+  const bool have_wal = wal_copy != nullptr;
 
   Database::Options open_options;
-  open_options.device = db_copy.get();
+  open_options.device = db_copy->get();
   if (have_wal) {
     open_options.enable_wal = true;
     open_options.wal_device = wal_copy.get();
@@ -176,7 +142,7 @@ int main(int argc, char** argv) {
   }
 
   CheckReport report;
-  s = db.value()->CheckIntegrity(options, &report);
+  Status s = db.value()->CheckIntegrity(options, &report);
   if (!s.ok()) {
     std::fprintf(stderr, "fieldrep_fsck: checker failed: %s\n",
                  s.ToString().c_str());
