@@ -39,24 +39,21 @@ Status Executor::ExecuteUpdate(const UpdateQuery& query,
   if (trace != nullptr) trace->used_index = result->used_index;
   tracer.EndStage("collect", oids.size());
 
-  // Announce the targets' pages ahead of the per-object updates; each
-  // object's propagation announces its own heads and S' record.
+  // Announce the targets' pages ahead of the per-object first pass; the
+  // replication manager then propagates the whole set's terminal values
+  // at once (DESIGN.md §9).
   ReadAheadCursor ahead(set->file().pool(), oids);
-  for (size_t i = 0; i < oids.size(); ++i) {
+  auto admit = [&](size_t i) -> Result<bool> {
     ahead.Advance(i);
-    const Oid& oid = oids[i];
-    if (needs_recheck && clause.has_value()) {
-      Object object;
-      FIELDREP_RETURN_IF_ERROR(set->Read(oid, &object));
-      FIELDREP_ASSIGN_OR_RETURN(Value value,
-                                EvaluateColumn(clause->plan, object));
-      FIELDREP_ASSIGN_OR_RETURN(bool match, clause->predicate.Matches(value));
-      if (!match) continue;
-    }
-    FIELDREP_RETURN_IF_ERROR(
-        replication_->UpdateFields(query.set_name, oid, assignments));
-    ++result->objects_updated;
-  }
+    if (!needs_recheck || !clause.has_value()) return true;
+    Object object;
+    FIELDREP_RETURN_IF_ERROR(set->Read(oids[i], &object));
+    FIELDREP_ASSIGN_OR_RETURN(Value value,
+                              EvaluateColumn(clause->plan, object));
+    return clause->predicate.Matches(value);
+  };
+  FIELDREP_RETURN_IF_ERROR(replication_->UpdateFields(
+      query.set_name, oids, assignments, admit, &result->objects_updated));
   tracer.EndStage("update", result->objects_updated);
   if (trace != nullptr) trace->rows = result->objects_updated;
   tracer.Finish();

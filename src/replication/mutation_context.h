@@ -40,6 +40,11 @@ struct ReplicationManager::MutationContext {
     return Status::OK();
   }
 
+  /// Whether `oid`'s image is already loaded (a Get costs no fetch).
+  bool Contains(const Oid& oid) const {
+    return index.count(oid.Packed()) != 0;
+  }
+
   /// Registers an externally owned image (the in-flight object of the
   /// current mutation) so every helper sees the same instance.
   void Seed(const Oid& oid, Object* object) {

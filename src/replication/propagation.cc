@@ -1,11 +1,13 @@
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/strings.h"
 #include "replication/mutation_context.h"
 #include "replication/replication_manager.h"
 #include "storage/buffer_pool.h"
+#include "storage/read_ahead.h"
 #include "telemetry/metrics.h"
 #include "telemetry/workload_profiler.h"
 #include "wal/wal_manager.h"
@@ -21,6 +23,20 @@ int PositionOf(const std::vector<int>& fields, int attr_index) {
 }
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+const Oid& OidOfOid(const Oid& oid) { return oid; }
+
+/// A read-ahead cursor over `items` (consumed in order), or none for a
+/// list of one: a lone page is read by its consumer's own fetch, where a
+/// batch of one would only add a round trip.
+template <typename Item, typename OidOf>
+std::optional<ReadAheadCursor> CursorOver(BufferPool* pool,
+                                          const std::vector<Item>& items,
+                                          OidOf oid_of) {
+  if (pool == nullptr || items.size() < 2) return std::nullopt;
+  return std::optional<ReadAheadCursor>(std::in_place, pool, items, 0,
+                                        items.size(), oid_of);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -91,44 +107,86 @@ void ReplicationManager::CollectMetrics(std::vector<MetricSample>* out) const {
 // Head collection
 // ---------------------------------------------------------------------------
 
-Status ReplicationManager::CollectHeadsFromLevel(
-    const ReplicationPathInfo& path, uint16_t level, const Oid& oid,
-    MutationContext* ctx, std::vector<Oid>* heads) {
-  heads->clear();
-  if (path.collapsed) {
+Status ReplicationManager::ExpandToHeads(const std::vector<HeadWalk>& walks,
+                                         MutationContext* ctx,
+                                         std::vector<std::vector<Oid>>* heads) {
+  heads->assign(walks.size(), {});
+  // One link expansion: `owner` sits at `level` of walks[walk]'s path.
+  struct Step {
+    size_t walk;
+    uint16_t level;
+    Oid owner;
+    Oid link_oid;  ///< invalid while unknown, inlined or absent
+  };
+  auto link_of = [&walks](const Step& step) {
+    const ReplicationPathInfo& path = *walks[step.walk].path;
     // The single collapsed link maps the terminal straight to the heads.
-    Object* image;
-    FIELDREP_RETURN_IF_ERROR(ctx->Get(oid, &image));
-    link_traversals_.fetch_add(1, kRelaxed);
-    return ops_.GetMembers(path.link_sequence[0], *image, heads);
+    return path.collapsed ? path.link_sequence[0]
+                          : path.link_sequence[step.level - 1];
+  };
+  std::vector<Step> round;
+  for (size_t i = 0; i < walks.size(); ++i) {
+    round.push_back({i, walks[i].level, walks[i].owner, Oid::Invalid()});
   }
-  // Walk the inverted path downward: the frontier starts at `level` and the
-  // members of each frontier object's link object sit one level closer to
-  // the head set. Frontiers stay sorted so objects are visited in
-  // clustered order, as the paper's sorted link objects intend.
-  std::vector<Oid> frontier = {oid};
-  for (uint16_t i = level; i >= 1; --i) {
-    if (pool_ != nullptr && frontier.size() > 1) {
-      // Best-effort read-ahead over the sorted frontier; a failed batch
-      // just falls back to on-demand fetches below.
-      (void)pool_->PrefetchOidPages(frontier);
+  // Walk the inverted paths downward: the members of each owner's link
+  // object sit one level closer to the head set. Each round visits its
+  // owners and then their link objects in sorted (clustered) order, as
+  // the paper's sorted link objects intend.
+  while (!round.empty()) {
+    std::vector<Oid> owners;
+    for (const Step& step : round) {
+      if (!ctx->Contains(step.owner)) owners.push_back(step.owner);
     }
-    std::vector<Oid> next;
-    for (const Oid& owner : frontier) {
+    std::sort(owners.begin(), owners.end());
+    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+    auto owners_ahead = CursorOver(pool_, owners, OidOfOid);
+    for (size_t i = 0; i < owners.size(); ++i) {
+      if (owners_ahead) owners_ahead->Advance(i);
       Object* image;
-      FIELDREP_RETURN_IF_ERROR(ctx->Get(owner, &image));
-      std::vector<Oid> members;
+      FIELDREP_RETURN_IF_ERROR(ctx->Get(owners[i], &image));
+    }
+
+    for (Step& step : round) {
+      Object* image;
+      FIELDREP_RETURN_IF_ERROR(ctx->Get(step.owner, &image));
+      const LinkRef* ref = image->FindLinkRef(link_of(step));
+      step.link_oid = ref != nullptr && !ref->inlined ? ref->link_oid
+                                                      : Oid::Invalid();
+    }
+    std::stable_sort(round.begin(), round.end(),
+                     [](const Step& a, const Step& b) {
+                       return a.link_oid < b.link_oid;
+                     });
+    auto links_ahead = CursorOver(
+        pool_, round, [](const Step& step) -> const Oid& {
+          return step.link_oid;
+        });
+    std::vector<Step> next;
+    std::vector<Oid> members;
+    for (size_t i = 0; i < round.size(); ++i) {
+      if (links_ahead) links_ahead->Advance(i);
+      const Step& step = round[i];
+      Object* image;
+      FIELDREP_RETURN_IF_ERROR(ctx->Get(step.owner, &image));
       link_traversals_.fetch_add(1, kRelaxed);
       FIELDREP_RETURN_IF_ERROR(
-          ops_.GetMembers(path.link_sequence[i - 1], *image, &members));
-      next.insert(next.end(), members.begin(), members.end());
+          ops_.GetMembers(link_of(step), *image, &members));
+      if (walks[step.walk].path->collapsed || step.level == 1) {
+        std::vector<Oid>& out = (*heads)[step.walk];
+        out.insert(out.end(), members.begin(), members.end());
+        continue;
+      }
+      for (const Oid& member : members) {
+        next.push_back({step.walk, static_cast<uint16_t>(step.level - 1),
+                        member, Oid::Invalid()});
+      }
     }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    frontier = std::move(next);
-    if (frontier.empty()) break;
+    round = std::move(next);
   }
-  *heads = std::move(frontier);
+  for (std::vector<Oid>& list : *heads) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
   return Status::OK();
 }
 
@@ -136,33 +194,29 @@ Status ReplicationManager::CollectHeadsFromLevel(
 // Value propagation
 // ---------------------------------------------------------------------------
 
+Status ReplicationManager::SetHeadReplica(const ReplicationPathInfo& path,
+                                          const Oid& head, Object* image,
+                                          std::vector<Value> values) {
+  std::vector<Value> old_values;
+  if (const ReplicaValueSlot* slot = image->FindReplicaValues(path.id)) {
+    old_values = slot->values;
+  }
+  image->SetReplicaValues(path.id, values);
+  heads_updated_.fetch_add(1, kRelaxed);
+  if (indexes_ == nullptr) return Status::OK();
+  return indexes_->OnReplicaValuesChanged(path.bound.set_name, head, path.id,
+                                          old_values, values);
+}
+
 Status ReplicationManager::UpdateHeadSlots(const ReplicationPathInfo& path,
                                            const std::vector<Oid>& heads,
                                            const std::vector<Value>& values,
-                                           int value_pos,
                                            MutationContext* ctx) {
   for (const Oid& head : heads) {
     Object* image;
     FIELDREP_RETURN_IF_ERROR(ctx->Get(head, &image));
-    std::vector<Value> old_values;
-    if (const ReplicaValueSlot* slot = image->FindReplicaValues(path.id)) {
-      old_values = slot->values;
-    }
-    std::vector<Value> new_values;
-    if (value_pos < 0) {
-      new_values = values;
-    } else {
-      new_values = old_values;
-      new_values.resize(path.bound.terminal_fields.size(), Value::Null());
-      new_values[value_pos] = values[0];
-    }
-    image->SetReplicaValues(path.id, new_values);
+    FIELDREP_RETURN_IF_ERROR(SetHeadReplica(path, head, image, values));
     FIELDREP_RETURN_IF_ERROR(ops_.WriteObject(head, *image));
-    heads_updated_.fetch_add(1, kRelaxed);
-    if (indexes_ != nullptr) {
-      FIELDREP_RETURN_IF_ERROR(indexes_->OnReplicaValuesChanged(
-          path.bound.set_name, head, path.id, old_values, new_values));
-    }
   }
   return Status::OK();
 }
@@ -187,121 +241,167 @@ Status ReplicationManager::RepointHeadRefs(const ReplicationPathInfo& path,
   return Status::OK();
 }
 
-Status ReplicationManager::PropagateTerminalValue(const std::string& set_name,
-                                                  const Oid& oid,
-                                                  Object* object,
-                                                  int attr_index,
-                                                  MutationContext* ctx,
-                                                  bool* propagated) {
-  if (propagated != nullptr) *propagated = false;
+void ReplicationManager::ValuePropagation::Add(const ReplicationPathInfo& path,
+                                               const Oid& terminal, int pos,
+                                               const Oid& replica_oid) {
+  auto [it, fresh] =
+      index.try_emplace({path.id, terminal.Packed()}, fanouts.size());
+  if (fresh) fanouts.push_back({&path, terminal, replica_oid, {}});
+  std::vector<int>& positions = fanouts[it->second].positions;
+  if (std::find(positions.begin(), positions.end(), pos) == positions.end()) {
+    positions.push_back(pos);
+  }
+}
+
+bool ReplicationManager::NoteValueChange(const std::string& set_name,
+                                         const Oid& oid, const Object& object,
+                                         int attr_index,
+                                         ValuePropagation* out) {
+  bool propagated = false;
   // In-place paths: the link IDs stored in the object say exactly which
   // paths it terminates (Section 4.1.3 — "the link ID(s) stored in O ...
   // can be used to determine which updates to O need to be propagated").
-  // Iterate over a snapshot because head-slot writes may touch this image.
-  // The fan-out is collected first and applied after one read-ahead batch
-  // for every page it touches (all paths' heads and the S' records),
-  // instead of a round trip per path.
-  struct InPlaceWork {
-    const ReplicationPathInfo* path;
-    int pos;
-    std::vector<Oid> heads;
-  };
-  struct SeparateWork {
-    const ReplicationPathInfo* path;
-    int pos;
-    Oid replica_oid;
-  };
-  std::vector<InPlaceWork> in_place;
-  std::vector<SeparateWork> separate;
-  std::vector<uint8_t> link_ids;
-  for (const LinkRef& ref : object->link_refs()) link_ids.push_back(ref.link_id);
-  std::set<uint16_t> done;
-  for (uint8_t link_id : link_ids) {
-    const LinkInfo* link = catalog_->link_registry().GetLink(link_id);
+  for (const LinkRef& ref : object.link_refs()) {
+    const LinkInfo* link = catalog_->link_registry().GetLink(ref.link_id);
     if (link == nullptr) continue;
     for (uint16_t path_id : link->path_ids) {
       const ReplicationPathInfo* path = catalog_->GetPath(path_id);
       if (path == nullptr) continue;
       if (path->strategy != ReplicationStrategy::kInPlace) continue;
       if (path->link_sequence.empty() ||
-          path->link_sequence.back() != link_id) {
+          path->link_sequence.back() != ref.link_id) {
         continue;  // this object is interior, not terminal, for this path
       }
       int pos = PositionOf(path->bound.terminal_fields, attr_index);
       if (pos < 0) continue;
-      if (!done.insert(path_id).second) continue;
+      propagated = true;
       if (path->deferred) {
         // Section 8 future work: queue the (path, terminal) pair; the
         // fan-out happens at the next read through this path.
         PendingInsert(path_id, oid.Packed());
-        if (propagated != nullptr) *propagated = true;
         continue;
       }
-      InPlaceWork work{path, pos, {}};
-      FIELDREP_RETURN_IF_ERROR(CollectHeadsFromLevel(
-          *path, static_cast<uint16_t>(path->bound.level()), oid, ctx,
-          &work.heads));
-      in_place.push_back(std::move(work));
+      out->Add(*path, oid, pos);
     }
   }
 
   // Separate paths: the terminal-side replica slot points at the shared S'
   // record; "updates to O1.name are propagated by simply retrieving the
   // object R1 and updating it" (Section 5.2).
-  for (const ReplicaRefSlot& slot : object->replica_refs()) {
+  for (const ReplicaRefSlot& slot : object.replica_refs()) {
     const ReplicationPathInfo* path = catalog_->GetPath(slot.path_id);
     if (path == nullptr) continue;
     if (path->strategy != ReplicationStrategy::kSeparate) continue;
     if (path->bound.set_name == set_name) continue;  // head-side slot
     int pos = PositionOf(path->bound.terminal_fields, attr_index);
     if (pos < 0) continue;
-    separate.push_back({path, pos, slot.replica_oid});
+    propagated = true;
+    out->Add(*path, oid, pos, slot.replica_oid);
+  }
+  return propagated;
+}
+
+Status ReplicationManager::PropagateValues(const ValuePropagation& work,
+                                           MutationContext* ctx) {
+  const std::vector<Fanout>& fanouts = work.fanouts;
+  auto in_place = [&fanouts](size_t i) {
+    return fanouts[i].path->strategy == ReplicationStrategy::kInPlace;
+  };
+  // 1. Every in-place fan-out's heads, one path level of all of them at a
+  // time.
+  std::vector<HeadWalk> walks;
+  std::vector<size_t> walked;  // fanouts index of each walk
+  for (size_t i = 0; i < fanouts.size(); ++i) {
+    if (!in_place(i)) continue;
+    walks.push_back({fanouts[i].path,
+                     static_cast<uint16_t>(fanouts[i].path->bound.level()),
+                     fanouts[i].terminal});
+    walked.push_back(i);
+  }
+  std::vector<std::vector<Oid>> walk_heads;
+  FIELDREP_RETURN_IF_ERROR(ExpandToHeads(walks, ctx, &walk_heads));
+  std::vector<std::vector<Oid>> heads(fanouts.size());
+  for (size_t w = 0; w < walks.size(); ++w) {
+    heads[walked[w]] = std::move(walk_heads[w]);
   }
 
-  if (pool_ != nullptr) {
-    // Best-effort; a failed batch falls back to on-demand fetches below.
-    std::vector<Oid> touched;
-    for (const InPlaceWork& work : in_place) {
-      touched.insert(touched.end(), work.heads.begin(), work.heads.end());
+  // 2. The union of those heads and the S' records, in OID order. A head
+  // reached through several paths or terminals appears once per slot but
+  // is loaded and written once. Heads and S' records live in different
+  // files, so equal OIDs are always of one kind.
+  struct Item {
+    Oid oid;
+    size_t fanout;
+  };
+  std::vector<Item> items;
+  for (size_t i = 0; i < fanouts.size(); ++i) {
+    if (!in_place(i)) items.push_back({fanouts[i].replica_oid, i});
+    for (const Oid& head : heads[i]) items.push_back({head, i});
+  }
+  std::stable_sort(items.begin(), items.end(),
+                   [](const Item& a, const Item& b) { return a.oid < b.oid; });
+
+  // 3. Apply the list in physical order through one cursor.
+  auto ahead = CursorOver(pool_, items, [](const Item& item) -> const Oid& {
+    return item.oid;
+  });
+  for (size_t i = 0; i < items.size();) {
+    if (ahead) ahead->Advance(i);
+    const Oid oid = items[i].oid;
+    size_t end = i + 1;
+    while (end < items.size() && items[end].oid == oid) ++end;
+    if (!in_place(items[i].fanout)) {
+      // "Updates to O1.name are propagated by simply retrieving the object
+      // R1 and updating it" (Section 5.2).
+      const Fanout& fanout = fanouts[items[i].fanout];
+      const ReplicationPathInfo& path = *fanout.path;
+      Object* terminal;
+      FIELDREP_RETURN_IF_ERROR(ctx->Get(fanout.terminal, &terminal));
+      FIELDREP_ASSIGN_OR_RETURN(RecordFile * file,
+                                sets_->GetAuxFile(path.replica_set_file));
+      std::string payload;
+      FIELDREP_RETURN_IF_ERROR(file->Read(oid, &payload));
+      ReplicaRecord record;
+      FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
+      for (int pos : fanout.positions) {
+        if (pos < static_cast<int>(record.values.size())) {
+          record.values[pos] =
+              terminal->field(path.bound.terminal_fields[pos]);
+        }
+      }
+      FIELDREP_RETURN_IF_ERROR(file->Update(oid, record.Serialize()));
+      separate_replica_writes_.fetch_add(1, kRelaxed);
+    } else {
+      Object* image;
+      FIELDREP_RETURN_IF_ERROR(ctx->Get(oid, &image));
+      for (size_t k = i; k < end; ++k) {
+        const Fanout& fanout = fanouts[items[k].fanout];
+        const ReplicationPathInfo& path = *fanout.path;
+        Object* terminal;
+        FIELDREP_RETURN_IF_ERROR(ctx->Get(fanout.terminal, &terminal));
+        std::vector<Value> values;
+        if (const ReplicaValueSlot* slot = image->FindReplicaValues(path.id)) {
+          values = slot->values;
+        }
+        values.resize(path.bound.terminal_fields.size(), Value::Null());
+        for (int pos : fanout.positions) {
+          values[pos] = terminal->field(path.bound.terminal_fields[pos]);
+        }
+        FIELDREP_RETURN_IF_ERROR(
+            SetHeadReplica(path, oid, image, std::move(values)));
+      }
+      FIELDREP_RETURN_IF_ERROR(ops_.WriteObject(oid, *image));
     }
-    for (const SeparateWork& work : separate) {
-      touched.push_back(work.replica_oid);
-    }
-    if (touched.size() > 1) (void)pool_->PrefetchOidPages(touched);
+    i = end;
   }
 
-  for (const InPlaceWork& work : in_place) {
-    FIELDREP_RETURN_IF_ERROR(UpdateHeadSlots(
-        *work.path, work.heads, {object->field(attr_index)}, work.pos, ctx));
-    propagations_.fetch_add(1, kRelaxed);
-    if (profiler_ != nullptr) {
-      profiler_->RecordPropagation(work.path->spec, work.heads.size());
+  propagations_.fetch_add(fanouts.size(), kRelaxed);
+  if (profiler_ != nullptr) {
+    // A separate-strategy propagation rewrites the shared S' record and
+    // touches no head slots.
+    for (size_t i = 0; i < fanouts.size(); ++i) {
+      profiler_->RecordPropagation(fanouts[i].path->spec, heads[i].size());
     }
-    if (propagated != nullptr) *propagated = true;
-  }
-
-  for (const SeparateWork& work : separate) {
-    const ReplicationPathInfo* path = work.path;
-    const int pos = work.pos;
-    FIELDREP_ASSIGN_OR_RETURN(RecordFile * file,
-                              sets_->GetAuxFile(path->replica_set_file));
-    std::string payload;
-    FIELDREP_RETURN_IF_ERROR(file->Read(work.replica_oid, &payload));
-    ReplicaRecord record;
-    FIELDREP_RETURN_IF_ERROR(record.Deserialize(payload));
-    if (pos < static_cast<int>(record.values.size())) {
-      record.values[pos] = object->field(attr_index);
-    }
-    FIELDREP_RETURN_IF_ERROR(file->Update(work.replica_oid,
-                                          record.Serialize()));
-    propagations_.fetch_add(1, kRelaxed);
-    separate_replica_writes_.fetch_add(1, kRelaxed);
-    if (profiler_ != nullptr) {
-      // A separate-strategy propagation rewrites the shared S' record;
-      // no head slots are touched.
-      profiler_->RecordPropagation(path->spec, 0);
-    }
-    if (propagated != nullptr) *propagated = true;
   }
   return Status::OK();
 }
@@ -320,54 +420,38 @@ Status ReplicationManager::FlushPendingPropagation(uint16_t path_id) {
   // Snapshot this path's queue up front, never holding pending_mu_
   // across the propagation work below. The set ordering visits terminals
   // in physical order.
-  std::vector<uint64_t> terminals;
+  std::vector<Oid> terminals;
   {
     MutexLock lock(pending_mu_);
     for (auto it = pending_.lower_bound({path_id, 0});
          it != pending_.end() && it->first == path_id; ++it) {
-      terminals.push_back(it->second);
+      terminals.push_back(Oid::FromPacked(it->second));
     }
   }
-  if (pool_ != nullptr && terminals.size() > 1) {
-    // The queue orders terminals physically; warm their pages in one batch.
-    std::vector<Oid> terminal_oids;
-    terminal_oids.reserve(terminals.size());
-    for (uint64_t packed : terminals) {
-      terminal_oids.push_back(Oid::FromPacked(packed));
-    }
-    (void)pool_->PrefetchOidPages(terminal_oids);
-  }
-  for (uint64_t packed : terminals) {
-    Oid terminal = Oid::FromPacked(packed);
-    MutationContext ctx(&ops_);
-    Object* terminal_obj;
-    Status read = ctx.Get(terminal, &terminal_obj);
+  // The queued terminals are one statement's worth of fan-outs, each
+  // refreshing every replicated field from the terminal's current values.
+  MutationContext ctx(&ops_);
+  ValuePropagation work;
+  auto ahead = CursorOver(pool_, terminals, OidOfOid);
+  for (size_t i = 0; i < terminals.size(); ++i) {
+    if (ahead) ahead->Advance(i);
+    Object* terminal;
+    Status read = ctx.Get(terminals[i], &terminal);
     if (read.IsNotFound()) {
       // Terminal deleted after its update was queued; nothing references
       // it any more (deletion requires no link objects), so nothing to do.
-      PendingErase(path_id, packed);
+      PendingErase(path_id, terminals[i].Packed());
       continue;
     }
     FIELDREP_RETURN_IF_ERROR(read);
-    std::vector<Oid> heads;
-    FIELDREP_RETURN_IF_ERROR(CollectHeadsFromLevel(
-        *path, static_cast<uint16_t>(path->bound.level()), terminal, &ctx,
-        &heads));
-    std::vector<Value> values;
-    FIELDREP_RETURN_IF_ERROR(
-        ReadTerminalValues(*path, terminal, &ctx, &values));
-    if (pool_ != nullptr && heads.size() > 1) {
-      // Heads arrive sorted (clustered order), so the fan-out touches
-      // their pages as one ascending sweep: announce them up front.
-      (void)pool_->PrefetchOidPages(heads);
+    for (size_t pos = 0; pos < path->bound.terminal_fields.size(); ++pos) {
+      work.Add(*path, terminals[i], static_cast<int>(pos));
     }
-    FIELDREP_RETURN_IF_ERROR(UpdateHeadSlots(*path, heads, values, -1, &ctx));
-    PendingErase(path_id, packed);
-    propagations_.fetch_add(1, kRelaxed);
+  }
+  FIELDREP_RETURN_IF_ERROR(PropagateValues(work, &ctx));
+  for (const Fanout& fanout : work.fanouts) {
+    PendingErase(path_id, fanout.terminal.Packed());
     deferred_flushed_.fetch_add(1, kRelaxed);
-    if (profiler_ != nullptr) {
-      profiler_->RecordPropagation(path->spec, heads.size());
-    }
   }
   return txn.Commit();
 }

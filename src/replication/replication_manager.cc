@@ -755,59 +755,75 @@ Status ReplicationManager::DeleteObject(const std::string& set_name,
 Status ReplicationManager::UpdateField(const std::string& set_name,
                                        const Oid& oid, int attr_index,
                                        const Value& value) {
-  return UpdateFields(set_name, oid, {{attr_index, value}});
+  return UpdateFields(set_name, {oid}, {{attr_index, value}});
 }
 
 Status ReplicationManager::UpdateFields(
-    const std::string& set_name, const Oid& oid,
-    const std::vector<std::pair<int, Value>>& updates) {
+    const std::string& set_name, const std::vector<Oid>& oids,
+    const std::vector<std::pair<int, Value>>& updates,
+    const std::function<Result<bool>(size_t)>& admit, uint64_t* updated) {
+  if (updated != nullptr) *updated = 0;
   WalTransaction txn(wal_);
   FIELDREP_RETURN_IF_ERROR(txn.begin_status());
   FIELDREP_ASSIGN_OR_RETURN(ObjectSet * set, sets_->GetSet(set_name));
-  MutationContext ctx(&ops_);
-  Object* image;
-  FIELDREP_RETURN_IF_ERROR(ctx.Get(oid, &image));
   const TypeDescriptor& type = set->type();
+  // One image per OID for the whole statement: a target that is also a
+  // head (or a head reached twice) is never loaded twice.
+  MutationContext ctx(&ops_);
+  ValuePropagation values;
 
-  for (const auto& [attr_index, raw_value] : updates) {
-    if (attr_index < 0 ||
-        static_cast<size_t>(attr_index) >= type.attribute_count()) {
-      return Status::InvalidArgument(
-          StringPrintf("attribute index %d out of range", attr_index));
+  // First pass, object by object: assignments, reference surgery and
+  // index maintenance; value propagation is only noted.
+  for (size_t i = 0; i < oids.size(); ++i) {
+    if (admit) {
+      FIELDREP_ASSIGN_OR_RETURN(bool take, admit(i));
+      if (!take) continue;
     }
-    const AttributeDescriptor& attr = type.attribute(attr_index);
-    FIELDREP_ASSIGN_OR_RETURN(Value value, raw_value.CoerceTo(attr));
-    Value old_value = image->field(attr_index);
-
-    if (attr.is_ref()) {
-      // Validate the new target before any surgery.
-      if (!value.is_null()) {
-        Result<const SetInfo*> info =
-            catalog_->GetSetForFile(value.as_ref().file_id);
-        if (!info.ok() || info.value()->type_name != attr.ref_type) {
-          return Status::InvalidArgument(
-              "attribute " + attr.name + " cannot reference " +
-              value.as_ref().ToString());
-        }
+    const Oid& oid = oids[i];
+    Object* image;
+    FIELDREP_RETURN_IF_ERROR(ctx.Get(oid, &image));
+    for (const auto& [attr_index, raw_value] : updates) {
+      if (attr_index < 0 ||
+          static_cast<size_t>(attr_index) >= type.attribute_count()) {
+        return Status::InvalidArgument(
+            StringPrintf("attribute index %d out of range", attr_index));
       }
-      FIELDREP_RETURN_IF_ERROR(
-          HandleRefUpdate(set_name, oid, image, attr_index, value, &ctx));
-    } else {
-      image->set_field(attr_index, value);
+      const AttributeDescriptor& attr = type.attribute(attr_index);
+      FIELDREP_ASSIGN_OR_RETURN(Value value, raw_value.CoerceTo(attr));
+      Value old_value = image->field(attr_index);
+
+      if (attr.is_ref()) {
+        // Validate the new target before any surgery.
+        if (!value.is_null()) {
+          Result<const SetInfo*> info =
+              catalog_->GetSetForFile(value.as_ref().file_id);
+          if (!info.ok() || info.value()->type_name != attr.ref_type) {
+            return Status::InvalidArgument(
+                "attribute " + attr.name + " cannot reference " +
+                value.as_ref().ToString());
+          }
+        }
+        FIELDREP_RETURN_IF_ERROR(
+            HandleRefUpdate(set_name, oid, image, attr_index, value, &ctx));
+      } else {
+        image->set_field(attr_index, value);
+      }
+      if (indexes_ != nullptr) {
+        FIELDREP_RETURN_IF_ERROR(indexes_->OnFieldUpdate(
+            set_name, oid, old_value, value, attr_index));
+      }
+      const bool propagated =
+          NoteValueChange(set_name, oid, *image, attr_index, &values);
+      if (profiler_ != nullptr) {
+        profiler_->RecordFieldUpdate(set_name + "." + attr.name, propagated);
+      }
     }
-    if (indexes_ != nullptr) {
-      FIELDREP_RETURN_IF_ERROR(indexes_->OnFieldUpdate(
-          set_name, oid, old_value, value, attr_index));
-    }
-    bool propagated = false;
-    FIELDREP_RETURN_IF_ERROR(PropagateTerminalValue(set_name, oid, image,
-                                                    attr_index, &ctx,
-                                                    &propagated));
-    if (profiler_ != nullptr) {
-      profiler_->RecordFieldUpdate(set_name + "." + attr.name, propagated);
-    }
+    FIELDREP_RETURN_IF_ERROR(ops_.WriteObject(oid, *image));
+    if (updated != nullptr) ++*updated;
   }
-  FIELDREP_RETURN_IF_ERROR(ops_.WriteObject(oid, *image));
+
+  // Second pass: every noted terminal value, set-at-a-time.
+  FIELDREP_RETURN_IF_ERROR(PropagateValues(values, &ctx));
   return txn.Commit();
 }
 
@@ -885,8 +901,10 @@ Status ReplicationManager::HandleRefUpdate(const std::string& set_name,
   // terminal, and unwind the upper part of the old chain.
   for (InteriorWork& work : interior) {
     const ReplicationPathInfo& path = *work.path;
+    std::vector<std::vector<Oid>> heads;
     FIELDREP_RETURN_IF_ERROR(
-        CollectHeadsFromLevel(path, work.level, oid, ctx, &work.heads));
+        ExpandToHeads({{&path, work.level, oid}}, ctx, &heads));
+    work.heads = std::move(heads[0]);
     std::vector<Oid> chain;
     FIELDREP_RETURN_IF_ERROR(extend_chain(path, work.level, old_target,
                                           &chain));
@@ -985,7 +1003,7 @@ Status ReplicationManager::HandleRefUpdate(const std::string& set_name,
         PendingInsert(path.id, chain[n].Packed());
       } else if (values != old_values) {
         FIELDREP_RETURN_IF_ERROR(
-            UpdateHeadSlots(path, work.heads, values, -1, ctx));
+            UpdateHeadSlots(path, work.heads, values, ctx));
       }
     } else if (chain[n] == work.old_terminal) {
       // Same terminal through a different intermediate: the shared replica
@@ -1028,7 +1046,7 @@ Status ReplicationManager::HandleRefUpdate(const std::string& set_name,
       PendingInsert(path.id, new_target.Packed());
     } else if (values != old_values) {
       FIELDREP_RETURN_IF_ERROR(
-          UpdateHeadSlots(path, work.heads, values, -1, ctx));
+          UpdateHeadSlots(path, work.heads, values, ctx));
     }
   }
 

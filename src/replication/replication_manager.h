@@ -2,6 +2,8 @@
 #define FIELDREP_REPLICATION_REPLICATION_MANAGER_H_
 
 #include <atomic>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -82,8 +84,8 @@ class ReplicationManager {
   /// detaches (operations run unlogged, as before).
   void set_wal(WalManager* wal) { wal_ = wal; }
 
-  /// Attaches the buffer pool so propagation fan-out can batch-prefetch
-  /// the pages of head/frontier OID sets before reading them. Null (the
+  /// Attaches the buffer pool so propagation reads its owners, link
+  /// objects, heads and S' records through read-ahead cursors. Null (the
   /// default) disables propagation read-ahead.
   void set_pool(BufferPool* pool) { pool_ = pool; }
 
@@ -142,9 +144,20 @@ class ReplicationManager {
   Status UpdateField(const std::string& set_name, const Oid& oid,
                      int attr_index, const Value& value);
 
-  /// Batched multi-field update (one base-object write).
-  Status UpdateFields(const std::string& set_name, const Oid& oid,
-                      const std::vector<std::pair<int, Value>>& updates);
+  /// One update statement: applies `updates` to each object of `oids` in
+  /// order (reference surgery and index maintenance per object, each
+  /// object written once), then propagates every changed terminal value
+  /// set-at-a-time (DESIGN.md §9): one link-object pass per path level
+  /// and one OID-sorted pass over all heads and S' records, each through
+  /// a read-ahead cursor. `admit`, when set, is called with the index of
+  /// each object before it is touched and may skip it (the executor's
+  /// read-ahead and predicate recheck). `updated` counts the objects
+  /// written. One WAL transaction.
+  Status UpdateFields(const std::string& set_name,
+                      const std::vector<Oid>& oids,
+                      const std::vector<std::pair<int, Value>>& updates,
+                      const std::function<Result<bool>(size_t)>& admit = {},
+                      uint64_t* updated = nullptr);
 
   // --- Query support ---------------------------------------------------------
 
@@ -240,24 +253,61 @@ class ReplicationManager {
                         uint32_t released_refs);
 
   // Propagation (propagation.cc).
-  /// Heads (sorted, deduped) that reach the object at `level` via the
-  /// path's links `level`..1.
-  Status CollectHeadsFromLevel(const ReplicationPathInfo& path,
-                               uint16_t level, const Oid& oid,
-                               MutationContext* ctx, std::vector<Oid>* heads);
-  /// Scalar/terminal-value propagation after `attr_index` of a terminal
-  /// object changed (Section 4.1.3 decides *when* from the link IDs /
-  /// replica slots stored in the object itself). `propagated`, when
-  /// non-null, reports whether any replica work happened (fan-out, queue,
-  /// or S' write) — the workload profiler's per-field signal.
-  Status PropagateTerminalValue(const std::string& set_name, const Oid& oid,
-                                Object* object, int attr_index,
-                                MutationContext* ctx,
-                                bool* propagated = nullptr);
+  /// One (path, terminal) pair of a statement's value propagation: a
+  /// fan-out to the heads (in-place paths) or one shared S' record
+  /// rewrite (separate paths).
+  struct Fanout {
+    const ReplicationPathInfo* path;
+    Oid terminal;
+    Oid replica_oid;             ///< the S' record (separate paths)
+    std::vector<int> positions;  ///< terminal_fields positions to refresh
+  };
+  /// The value propagation one statement owes, gathered object by object
+  /// and applied at once by PropagateValues. Repeated (path, terminal)
+  /// pairs merge their positions.
+  struct ValuePropagation {
+    void Add(const ReplicationPathInfo& path, const Oid& terminal, int pos,
+             const Oid& replica_oid = Oid::Invalid());
+
+    std::vector<Fanout> fanouts;
+    /// (path id, packed terminal) -> index into fanouts.
+    std::map<std::pair<uint16_t, uint64_t>, size_t> index;
+  };
+  /// Records in `out` the propagation a change to `attr_index` of the
+  /// terminal `oid` needs (Section 4.1.3 decides *when* from the link IDs
+  /// / replica slots stored in the object itself); deferred paths queue
+  /// instead. Returns whether any replica work results — the workload
+  /// profiler's per-field signal.
+  bool NoteValueChange(const std::string& set_name, const Oid& oid,
+                       const Object& object, int attr_index,
+                       ValuePropagation* out);
+  /// Applies `work` set-at-a-time: expands every in-place fan-out to its
+  /// heads (ExpandToHeads), then rewrites the union of heads and S'
+  /// records in OID order through one read-ahead cursor, each head once.
+  /// Terminal images must be loadable through `ctx`.
+  Status PropagateValues(const ValuePropagation& work, MutationContext* ctx);
+  /// Where an inverted-path walk starts: `owner` sits at `level` (>= 1) of
+  /// `path`.
+  struct HeadWalk {
+    const ReplicationPathInfo* path;
+    uint16_t level;
+    Oid owner;
+  };
+  /// Heads (sorted, deduped) reached from each walk via the path's links
+  /// `level`..1, into (*heads)[i] for walks[i]. All walks descend one
+  /// level per round; each round reads its uncached owners and then its
+  /// link objects in OID order, each list through a read-ahead cursor.
+  Status ExpandToHeads(const std::vector<HeadWalk>& walks,
+                       MutationContext* ctx,
+                       std::vector<std::vector<Oid>>* heads);
+  /// Stores `values` as the replica of `path` in `head`'s image (the
+  /// caller writes it back), keeping replica-value indexes in step.
+  Status SetHeadReplica(const ReplicationPathInfo& path, const Oid& head,
+                        Object* image, std::vector<Value> values);
   /// Rewrites the replica slot of each head with `values` (in-place paths).
   Status UpdateHeadSlots(const ReplicationPathInfo& path,
                          const std::vector<Oid>& heads,
-                         const std::vector<Value>& values, int value_pos,
+                         const std::vector<Value>& values,
                          MutationContext* ctx);
   /// Repoints each head's ReplicaRefSlot to `replica_oid` (separate paths).
   Status RepointHeadRefs(const ReplicationPathInfo& path,

@@ -27,6 +27,10 @@ bool FaultInjectingDevice::ChargeOp(bool* torn) {
 
 Status FaultInjectingDevice::ReadPage(PageId page_id, void* buf) {
   if (plan_->crashed) return CrashedStatus();
+  if (page_id == plan_->failing_read_page) {
+    return Status::IOError(
+        StringPrintf("injected read failure on page %u", page_id));
+  }
   return base_->ReadPage(page_id, buf);
 }
 

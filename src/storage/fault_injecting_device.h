@@ -24,6 +24,9 @@ struct FaultPlan {
   /// Writes to this page fail cleanly (a bad sector, not a crash): the
   /// page keeps its old bytes and every other operation proceeds.
   PageId failing_write_page = kInvalidPageId;
+  /// Reads of this page fail cleanly (an unreadable sector): every other
+  /// operation proceeds.
+  PageId failing_read_page = kInvalidPageId;
 
   /// True once the crash has tripped; every later operation fails.
   bool crashed = false;
@@ -44,6 +47,7 @@ struct FaultPlan {
     writes_until_crash = 0;
     torn_final_write = false;
     failing_write_page = kInvalidPageId;
+    failing_read_page = kInvalidPageId;
     crashed = false;
     ops_seen = 0;
   }

@@ -49,6 +49,22 @@ Oid StubTarget(const std::string& cell) {
   return Oid::FromPacked(DecodeU64(
       reinterpret_cast<const uint8_t*>(cell.data()) + 2));
 }
+
+/// Copies the cell `oid` addresses on `page` into `out`: NotFound for a
+/// dead slot, Corruption when the slot directory points outside the cell
+/// area.
+Status ReadCell(const SlottedPage& page, const Oid& oid, std::string* out) {
+  if (!page.IsLive(oid.slot)) {
+    return Status::NotFound("no record at " + oid.ToString());
+  }
+  if (!page.ReadString(oid.slot, out)) {
+    return Status::Corruption(StringPrintf(
+        "page %u slot %u: cell [%u, +%u) lies outside the cell area",
+        oid.page_id, oid.slot, page.SlotOffset(oid.slot),
+        page.SlotLength(oid.slot)));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 RecordFile::RecordFile(BufferPool* pool, FileId file_id)
@@ -179,9 +195,7 @@ Status RecordFile::Read(const Oid& oid, std::string* payload) const {
   FIELDREP_RETURN_IF_ERROR(
       pool_->FetchPage(oid.page_id, &guard, LatchMode::kShared));
   SlottedPage page(guard.data());
-  if (!page.ReadString(oid.slot, payload)) {
-    return Status::NotFound("no record at " + oid.ToString());
-  }
+  FIELDREP_RETURN_IF_ERROR(ReadCell(page, oid, payload));
   uint16_t kind = CellKind(*payload);
   if (kind == 0) return Status::OK();
   if (kind == kMovedTag) {
@@ -197,8 +211,11 @@ Status RecordFile::Read(const Oid& oid, std::string* payload) const {
   FIELDREP_RETURN_IF_ERROR(
       pool_->FetchPage(target.page_id, &body_guard, LatchMode::kShared));
   SlottedPage body_page(body_guard.data());
-  if (!body_page.ReadString(target.slot, payload) ||
-      CellKind(*payload) != kMovedTag) {
+  if (!body_page.IsLive(target.slot)) {
+    return Status::Corruption("dangling forwarding stub at " + oid.ToString());
+  }
+  FIELDREP_RETURN_IF_ERROR(ReadCell(body_page, target, payload));
+  if (CellKind(*payload) != kMovedTag) {
     return Status::Corruption("dangling forwarding stub at " + oid.ToString());
   }
   payload->erase(0, 10);
@@ -219,9 +236,7 @@ Status RecordFile::Update(const Oid& oid, const std::string& payload) {
     PageGuard guard;
     FIELDREP_RETURN_IF_ERROR(pool_->FetchPage(oid.page_id, &guard));
     SlottedPage page(guard.data());
-    if (!page.ReadString(oid.slot, &cell)) {
-      return Status::NotFound("no record at " + oid.ToString());
-    }
+    FIELDREP_RETURN_IF_ERROR(ReadCell(page, oid, &cell));
     uint16_t kind = CellKind(cell);
     if (kind == kForwardTag) {
       body_oid = StubTarget(cell);
@@ -288,9 +303,7 @@ Status RecordFile::Delete(const Oid& oid) {
   PageGuard guard;
   FIELDREP_RETURN_IF_ERROR(pool_->FetchPage(oid.page_id, &guard));
   SlottedPage page(guard.data());
-  if (!page.ReadString(oid.slot, &cell)) {
-    return Status::NotFound("no record at " + oid.ToString());
-  }
+  FIELDREP_RETURN_IF_ERROR(ReadCell(page, oid, &cell));
   uint16_t kind = CellKind(cell);
   if (kind == kMovedTag) {
     return Status::InvalidArgument(

@@ -143,8 +143,15 @@ bool SlottedPage::IsLive(uint16_t slot) const {
   return slot < slot_count() && SlotOffset(slot) != 0;
 }
 
+bool SlottedPage::CellInBounds(uint16_t slot) const {
+  const uint32_t directory_end =
+      kPageHeaderBytes + static_cast<uint32_t>(slot_count()) * kSlotBytes;
+  const uint32_t offset = SlotOffset(slot);
+  return offset >= directory_end && offset + SlotLength(slot) <= kPageSize;
+}
+
 const uint8_t* SlottedPage::Read(uint16_t slot, uint32_t* size) const {
-  if (!IsLive(slot)) return nullptr;
+  if (!IsLive(slot) || !CellInBounds(slot)) return nullptr;
   *size = SlotLength(slot);
   return data_ + SlotOffset(slot);
 }

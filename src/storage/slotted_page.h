@@ -66,8 +66,13 @@ class SlottedPage {
   /// True if `slot` holds a live record.
   bool IsLive(uint16_t slot) const;
 
+  /// True if live `slot`'s cell lies inside the cell area, between the end
+  /// of the slot directory and the end of the page. False means the slot
+  /// directory is corrupt.
+  bool CellInBounds(uint16_t slot) const;
+
   /// Returns a pointer to the record payload and its size, or nullptr if
-  /// the slot is out of range or tombstoned.
+  /// the slot is out of range, tombstoned, or its cell is out of bounds.
   const uint8_t* Read(uint16_t slot, uint32_t* size) const;
 
   /// Copies the record payload into `out`; false on a dead slot.

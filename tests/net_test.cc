@@ -709,7 +709,8 @@ TEST(NetAdmissionTest, PipelineOverflowAnswersUnavailableInOrder) {
   ServedWalDb served = ServedWalDb::Start("pipeline", 8, false, options);
   ASSERT_NE(served.server, nullptr);
 
-  // Session A holds the writer gate so B's updates park and pile up.
+  // Session A holds T's write lock so B's updates park and pile up. Begin
+  // alone takes no set lock; A's update inside the transaction does.
   auto a_or = Client::Connect(served.server->address());
   auto b_or = Client::Connect(served.server->address());
   FR_ASSERT_OK(a_or.status());
@@ -717,6 +718,8 @@ TEST(NetAdmissionTest, PipelineOverflowAnswersUnavailableInOrder) {
   auto& a = *a_or.value();
   auto& b = *b_or.value();
   FR_ASSERT_OK(a.Begin());
+  UpdateResult held;
+  FR_ASSERT_OK(a.Replace(SetVal(0, 1), &held));
 
   net::UpdateStatement update;
   update.set_name = "T";

@@ -334,7 +334,9 @@ TEST(CatalogCodecTest, EncodeDecodeRoundTrip) {
   // Truncated blobs fail loudly at every prefix length.
   for (size_t cut : std::vector<size_t>{0, 5, blob.size() / 2}) {
     Catalog bad;
-    ByteReader cut_reader(blob.substr(0, cut));
+    // ByteReader keeps a view: the prefix must outlive it.
+    const std::string prefix = blob.substr(0, cut);
+    ByteReader cut_reader(prefix);
     EXPECT_FALSE(bad.DecodeFrom(&cut_reader).ok()) << cut;
   }
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "gtest/gtest.h"
@@ -324,6 +325,33 @@ TEST_F(RecordFileTest, InsertReadDelete) {
   FR_ASSERT_OK(file_.Delete(oid));
   EXPECT_EQ(file_.record_count(), 0u);
   EXPECT_TRUE(file_.Read(oid, &out).IsNotFound());
+}
+
+TEST_F(RecordFileTest, CellOutsideCellAreaIsCorruption) {
+  Oid first, second;
+  FR_ASSERT_OK(file_.Insert("record one", &first));
+  FR_ASSERT_OK(file_.Insert("record two", &second));
+  ASSERT_EQ(first.page_id, second.page_id);
+  {
+    // Slot 0's cell now starts at the page's last byte and runs off the
+    // end; slot 1's starts inside the slot directory.
+    PageGuard guard;
+    FR_ASSERT_OK(pool_.FetchPage(first.page_id, &guard));
+    EncodeU16(guard.data() + kPageHeaderBytes, 4095);
+    EncodeU16(guard.data() + kPageHeaderBytes + 4, kPageHeaderBytes);
+    guard.MarkDirty();
+  }
+  std::string out;
+  for (const Oid& oid : {first, second}) {
+    Status s = file_.Read(oid, &out);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(StringPrintf("page %u slot %u", oid.page_id,
+                                             oid.slot)),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_TRUE(file_.Update(oid, "new").IsCorruption());
+    EXPECT_TRUE(file_.Delete(oid).IsCorruption());
+  }
 }
 
 TEST_F(RecordFileTest, InsertionOrderIsScanOrder) {

@@ -14,6 +14,7 @@
 
 #include "common/strings.h"
 #include "gtest/gtest.h"
+#include "storage/buffer_pool.h"
 #include "storage/fault_injecting_device.h"
 #include "storage/memory_device.h"
 #include "test_util.h"
@@ -56,6 +57,9 @@ struct Scenario {
   std::string target_set;   ///< set the update hits
   std::string old_value;    ///< terminal value before the update
   std::string new_value;    ///< terminal value after the update
+  /// One Replace renaming every object of target_set (a multi-terminal
+  /// statement) instead of one Update of the target.
+  bool replace_all = false;
   Oid target;               ///< filled by BuildFixture
 };
 
@@ -115,14 +119,22 @@ std::vector<Oid> BuildFixture(Database* db, Scenario* scenario) {
   FR_ASSERT_OK_RET(db->Replicate(scenario->spec, options));
 
   // The update target is the terminal object reached from emp0's chain.
-  scenario->target =
-      scenario->target_set == "Cities" ? cities[0] : depts[0];
+  scenario->target = scenario->target_set == "Cities" ? cities[0]
+                     : scenario->target_set == "Orgs" ? orgs[0]
+                                                      : depts[0];
   FR_ASSERT_OK_RET(db->Checkpoint());
   return emps;
 }
 
 /// Runs the scenario's update; errors expected when the plan trips.
 Status RunUpdate(Database* db, const Scenario& scenario) {
+  if (scenario.replace_all) {
+    UpdateQuery query;
+    query.set_name = scenario.target_set;
+    query.assignments = {{"name", Value(scenario.new_value)}};
+    UpdateResult result;
+    return db->Replace(query, &result);
+  }
   return db->Update(scenario.target_set, scenario.target, "name",
                     Value(scenario.new_value));
 }
@@ -159,6 +171,23 @@ void CheckRecoveredState(Database* db, const Scenario& scenario,
   if (update_reported_ok) {
     // A commit the client saw succeed must survive the crash.
     EXPECT_EQ(base, scenario.new_value);
+  }
+  if (scenario.replace_all) {
+    // The statement is one transaction: every target renamed, or none.
+    ReadQuery targets;
+    targets.set_name = scenario.target_set;
+    targets.projections = {"name"};
+    ReadResult renamed;
+    FR_ASSERT_OK(db->Retrieve(targets, &renamed));
+    size_t count = 0;
+    for (const auto& row : renamed.rows) {
+      if (Unpad(row[0].as_string()) == scenario.new_value) ++count;
+    }
+    EXPECT_TRUE(count == 0 || count == renamed.rows.size())
+        << count << " of " << renamed.rows.size() << " targets renamed";
+    if (update_reported_ok) {
+      EXPECT_EQ(count, renamed.rows.size());
+    }
   }
 
   // Per-head: what a query answers (replica) == forward traversal truth,
@@ -267,12 +296,107 @@ Scenario SeparateScenario() {
   return s;
 }
 
+Scenario MultiObjectScenario() {
+  Scenario s;
+  s.name = "in-place 2-level, every Org";
+  s.spec = "Emps.dept.org.name";
+  s.strategy = ReplicationStrategy::kInPlace;
+  s.target_set = "Orgs";
+  s.old_value = "org0";
+  s.new_value = "conglomerate";
+  s.replace_all = true;
+  return s;
+}
+
 TEST(WalCrashTest, ThreeLevelInPlacePropagationIsAtomic) {
   RunScenario(InPlaceScenario());
 }
 
 TEST(WalCrashTest, SeparateReplicationUpdateIsAtomic) {
   RunScenario(SeparateScenario());
+}
+
+TEST(WalCrashTest, MultiObjectReplaceIsAtomic) {
+  RunScenario(MultiObjectScenario());
+}
+
+/// A device error in the middle of a statement's set-wise propagation:
+/// the Replace reports it, and after a crash the database is exactly its
+/// pre-statement self.
+TEST(WalCrashTest, ReadFailureMidSetPropagationLeavesPreStatementState) {
+  CrashRig rig;
+  std::vector<std::pair<Oid, Object>> before;
+  Oid failing_head;
+  auto contents = [](Database* db, const char* set) {
+    std::vector<std::pair<Oid, Object>> out;
+    auto set_or = db->GetSet(set);
+    EXPECT_TRUE(set_or.ok());
+    FR_EXPECT_OK(set_or.value()->Scan([&](const Oid& oid, const Object& o) {
+      out.emplace_back(oid, o);
+      return true;
+    }));
+    return out;
+  };
+  {
+    auto db = rig.Open();
+    ASSERT_NE(db, nullptr);
+    FR_ASSERT_OK(db->DefineType(
+        TypeDescriptor("DEPT", {CharAttr("name", 20), Int32Attr("n")})));
+    FR_ASSERT_OK(db->DefineType(TypeDescriptor(
+        "EMP", {CharAttr("name", 20), RefAttr("dept", "DEPT")})));
+    FR_ASSERT_OK(db->CreateSet("Depts", "DEPT"));
+    FR_ASSERT_OK(db->CreateSet("Emps", "EMP"));
+    std::vector<Oid> depts(8);
+    for (int i = 0; i < 8; ++i) {
+      FR_ASSERT_OK(db->Insert(
+          "Depts",
+          Object(0, {Value(StringPrintf("dept%d", i)), Value(int32_t{i})}),
+          &depts[i]));
+    }
+    // Enough heads to fill several pages, so the failing page sits in the
+    // middle of the statement's sorted head list.
+    for (int i = 0; i < 600; ++i) {
+      Oid emp;
+      FR_ASSERT_OK(db->Insert(
+          "Emps",
+          Object(0, {Value(StringPrintf("emp%d", i)), Value(depts[i % 8])}),
+          &emp));
+    }
+    FR_ASSERT_OK(db->Replicate("Emps.dept.name", {}));
+    FR_ASSERT_OK(db->Checkpoint());
+    before = contents(db.get(), "Emps");
+    std::vector<PageId> head_pages;
+    for (const auto& [oid, object] : before) {
+      if (head_pages.empty() || head_pages.back() != oid.page_id) {
+        head_pages.push_back(oid.page_id);
+      }
+    }
+    ASSERT_GE(head_pages.size(), 3u);
+    FR_ASSERT_OK(db->pool().EvictAll());
+    rig.plan.failing_read_page = head_pages[head_pages.size() / 2];
+
+    UpdateQuery query;
+    query.set_name = "Depts";
+    query.assignments = {{"name", Value("renamed")}};
+    UpdateResult result;
+    Status s = db->Replace(query, &result);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    rig.plan.crashed = true;  // power off before any writeback
+  }
+  rig.plan.Reset();
+
+  auto db = rig.Open();
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(contents(db.get(), "Emps"), before);
+  ReadQuery query;
+  query.set_name = "Depts";
+  query.projections = {"name"};
+  ReadResult result;
+  FR_ASSERT_OK(db->Retrieve(query, &result));
+  for (const auto& row : result.rows) {
+    EXPECT_NE(Unpad(row[0].as_string()), "renamed");
+  }
+  ::fieldrep::testing::ExpectCleanIntegrity(db.get());
 }
 
 TEST(WalCrashTest, GroupCommitCrashIsConsistentThoughPossiblyStale) {
