@@ -245,7 +245,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
     json.Add("read.hits", static_cast<double>(io.hits));
     json.Add("read.disk_reads", static_cast<double>(io.disk_reads));
     json.Add("read.batched_reads", static_cast<double>(io.batched_reads));
-    json.Add("read.async_reads", static_cast<double>(io.async_reads));
     json.Add("read.bytes_read", static_cast<double>(io.bytes_read));
     json.Add("read.amplification", read_amp);
   }
@@ -301,7 +300,6 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
     json.Add("update.disk_writes", static_cast<double>(io.disk_writes));
     json.Add("update.coalesced_writes",
              static_cast<double>(io.coalesced_writes));
-    json.Add("update.async_writes", static_cast<double>(io.async_writes));
     json.Add("update.bytes_written", static_cast<double>(io.bytes_written));
     json.Add("update.amplification", write_amp);
   }

@@ -27,14 +27,17 @@ namespace fieldrep {
 ///   frame.latch -> record.chain_mu     RecordFile::AppendPage caches chain
 ///                                      links while page guards are live.
 ///   frame.latch -> pool.victim         documented pool order (DESIGN.md
-///   -> wal.log_mu -> pool.shard.mu     §10): an evicting thread never takes
+///   -> wal.log_mu -> pool.shard.mu     §10): victim selection never takes
 ///   -> wal.state_mu                    a latch; fetch paths never hold a
 ///                                      shard lock while latching.
 ///   wal.group_mu -> wal.log_mu         WaitDurable reads durable_lsn() while
 ///                                      deciding whether to lead a sync.
-///   pool.victim -> wal.group_mu        write-back honours BeforePageFlush
-///                                      (flush ordering) under victim.
-///   pool.victim -> device.mu           WriteBackFrame writes to the device.
+///   frame.latch -> wal.group_mu        write-back honours BeforePageFlush
+///                                      (flush ordering) on a fetching
+///                                      thread that may hold page latches.
+///   frame.latch -> device.mu           the same write-back, and misses,
+///                                      reach the device (never under
+///                                      pool.victim).
 ///   frame.latch -> repl.pending_mu     deferred propagation queues entries
 ///                                      while mutation page guards are live.
 enum class LockRank : uint16_t {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "common/strings.h"
 #include "storage/checksum.h"
@@ -207,11 +208,11 @@ Status BufferPool::FetchPage(PageId page_id, PageGuard* guard,
     return Status::OK();
   }
 
-  // Miss with the fill claimed: take a victim and read the device. The
-  // victim comes back off the free list, out of the table, and pinned, so
-  // the clock hand stays away while we fill it.
+  // Miss with the fill claimed: take a victim (a dirty one is written
+  // back first) and read the device. The victim comes back off the free
+  // list, out of the table, and pinned, so the clock hand stays away
+  // while we fill it.
   {
-    MutexLock victim_lock(victim_mutex_);
     Status s = GetVictimFrame(&frame_index);
     if (!s.ok()) {
       AbandonFill(page_id, kFrameInFlight);
@@ -288,7 +289,6 @@ Status BufferPool::NewPage(PageGuard* guard) {
   }
   size_t frame_index;
   {
-    MutexLock victim_lock(victim_mutex_);
     Status s = GetVictimFrame(&frame_index);
     if (!s.ok()) {
       AbandonFill(page_id, kFrameInFlight);
@@ -402,9 +402,8 @@ Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
         break;  // every frame is pinned: shrink the batch
       }
       if (needs_writeback) {
-        Frame& victim = frames_[frame_index];
-        victim.evicting.store(true, kRelaxed);
-        waiting.push_back({id, frame_index, victim.page_id.load(kRelaxed)});
+        waiting.push_back(
+            {id, frame_index, frames_[frame_index].page_id.load(kRelaxed)});
         victims.push_back(frame_index);
       } else {
         ready.push_back({id, frame_index});
@@ -413,33 +412,29 @@ Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
   }
   // Free and clean frames take their reads now, overlapping the victims'
   // write-back below.
-  Status read_status = SubmitReadAhead(std::move(ready));
-  if (victims.empty()) return read_status;
+  SubmitReadAhead(std::move(ready));
+  if (victims.empty()) return Status::OK();
 
-  // The dirty victims reach the device as one ordered batch instead of a
-  // synchronous write each. Until their writes land they stay
-  // unreachable (in flight in their shards, pinned), so no writer can
-  // re-dirty one after staging and a concurrent FlushAll waits for them.
-  Status write_status = FlushFramesOrdered(victims);
-  std::vector<PrefetchClaim> written;
-  for (const PrefetchClaim& claim : waiting) {
-    Frame& frame = frames_[claim.frame_index];
-    const bool ok = !frame.dirty.load(kRelaxed);
-    {
-      MutexLock lock(async_mu_);
-      frame.evicting.store(false, kRelaxed);
-    }
-    FinishEviction(claim.frame_index, claim.victim_page, ok);
-    if (ok) {
-      written.push_back({claim.page_id, claim.frame_index});
+  // The dirty victims reach the device as one ordered batch. Until their
+  // writes land they stay unreachable (in flight in their shards,
+  // pinned), so no writer can re-dirty one, and a concurrent FlushAll
+  // waits for them. Each victim's fate is its own write's outcome, not its
+  // dirty bit: a FlushAll that waited on a failed write may already have
+  // claimed the frame again and cleared that bit.
+  std::vector<bool> written;
+  Status write_status = FlushFramesOrdered(victims, &written);
+  std::vector<PrefetchClaim> evicted;
+  for (size_t i = 0; i < waiting.size(); ++i) {
+    const PrefetchClaim& claim = waiting[i];
+    FinishEviction(claim.frame_index, claim.victim_page, written[i]);
+    if (written[i]) {
+      evicted.push_back({claim.page_id, claim.frame_index});
     } else {
       AbandonFill(claim.page_id, kFrameInFlight);  // victim stays resident
     }
   }
-  async_cv_.notify_all();
-  Status s = SubmitReadAhead(std::move(written));
-  if (!write_status.ok()) return write_status;
-  return read_status.ok() ? s : read_status;
+  SubmitReadAhead(std::move(evicted));
+  return write_status;
 }
 
 void BufferPool::MarkReadAhead(Frame& frame) {
@@ -454,8 +449,8 @@ bool BufferPool::ClearReadAhead(Frame& frame) {
   return true;
 }
 
-Status BufferPool::SubmitReadAhead(std::vector<PrefetchClaim> claims) {
-  if (claims.empty()) return Status::OK();
+void BufferPool::SubmitReadAhead(std::vector<PrefetchClaim> claims) {
+  if (claims.empty()) return;
   std::vector<PageId> ids(claims.size());
   std::vector<uint8_t*> bufs(claims.size());
   for (size_t i = 0; i < claims.size(); ++i) {
@@ -465,40 +460,21 @@ Status BufferPool::SubmitReadAhead(std::vector<PrefetchClaim> claims) {
     bufs[i] = frame.data.get();
   }
   stats_.read_batches.fetch_add(1, kRelaxed);
-
-  if (device_->async_io()) {
-    // Fire-and-forget: a prefetch is a scheduling hint, so the caller
-    // does not wait for the device. The completion callback (device
-    // reaper thread) installs the frames; until then the in-flight
-    // markers published at claim time make concurrent fetchers of these pages
-    // wait on the shard condvar, exactly as for a synchronous miss.
-    stats_.async_reads.fetch_add(claims.size(), kRelaxed);
-    BeginAsyncBatch();
-    const uint64_t start_ns = NowNs();
-    auto shared_claims =
-        std::make_shared<std::vector<PrefetchClaim>>(std::move(claims));
-    device_->ReadPagesAsync(
-        std::move(ids), std::move(bufs),
-        [this, shared_claims, start_ns](std::span<const Status> statuses) {
-          stats_.read_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-          InstallPrefetchedPages(*shared_claims, statuses);
-          EndAsyncBatch();
-        });
-    return Status::OK();
-  }
-
-  uint64_t start_ns = NowNs();
-  Status s = device_->ReadPages(ids, bufs);
-  stats_.read_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-  if (!s.ok()) {
-    for (const PrefetchClaim& claim : claims) {
-      AbandonFill(claim.page_id, claim.frame_index);
-    }
-    return s;
-  }
-  std::vector<Status> statuses(claims.size());
-  InstallPrefetchedPages(claims, statuses);
-  return Status::OK();
+  // A prefetch is a scheduling hint, so the caller does not wait for the
+  // device. Until the completion installs the frames, the in-flight
+  // markers published at claim time make concurrent fetchers of these
+  // pages wait on the shard condvar, exactly as for an on-demand miss.
+  BeginAsyncBatch();
+  const uint64_t start_ns = NowNs();
+  auto shared_claims =
+      std::make_shared<std::vector<PrefetchClaim>>(std::move(claims));
+  device_->ReadPagesAsync(
+      std::move(ids), std::move(bufs),
+      [this, shared_claims, start_ns](std::span<const Status> statuses) {
+        stats_.read_ns.fetch_add(NowNs() - start_ns, kRelaxed);
+        InstallPrefetchedPages(*shared_claims, statuses);
+        EndAsyncBatch();
+      });
 }
 
 void BufferPool::InstallPrefetchedPages(std::span<const PrefetchClaim> claims,
@@ -570,148 +546,115 @@ void BufferPool::AbandonFill(PageId page_id, size_t frame_index) {
   shard.cv.notify_all();
 }
 
-Status BufferPool::WriteBackFrame(Frame& frame) {
-  const PageId page_id = frame.page_id.load(kRelaxed);
-  if (observer_ != nullptr) {
-    FIELDREP_RETURN_IF_ERROR(
-        observer_->BeforePageFlush(page_id, frame.page_lsn.load(kRelaxed)));
-  }
-  // Page 0 is the magic-prefixed database header, not a headered page.
-  if (page_id != 0) StampPageChecksum(frame.data.get());
-  stats_.write_batches.fetch_add(1, kRelaxed);
-  uint64_t start_ns = NowNs();
-  Status s = device_->WritePage(page_id, frame.data.get());
-  stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-  FIELDREP_RETURN_IF_ERROR(s);
-  stats_.disk_writes.fetch_add(1, kRelaxed);
-  stats_.bytes_written.fetch_add(kPageSize, kRelaxed);
-  frame.dirty.store(false, kRelaxed);
-  return Status::OK();
-}
+Status BufferPool::FlushFramesOrdered(std::span<const size_t> frames,
+                                      std::vector<bool>* written) {
+  const size_t n = frames.size();
+  if (written != nullptr) written->assign(n, false);
+  if (n == 0) return Status::OK();
+  // Positions in `frames`, in PageId order.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return frames_[frames[a]].page_id.load(kRelaxed) <
+           frames_[frames[b]].page_id.load(kRelaxed);
+  });
+  // One page-aligned staging buffer, so O_DIRECT devices take it as is.
+  PageBuffer staged = AllocatePageBuffer(n);
+  std::vector<PageId> ids;
+  std::vector<const uint8_t*> bufs;
 
-Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
-  std::sort(frame_indices.begin(), frame_indices.end(),
-            [&](size_t a, size_t b) {
-              return frames_[a].page_id.load(kRelaxed) <
-                     frames_[b].page_id.load(kRelaxed);
-            });
-  const bool async = device_->async_io();
-  // Pages staged for one device submission: one contiguous run on a
-  // synchronous device, every staged run on an asynchronous one.
-  // Heap-shared so the async completion callback can outlive this call;
-  // the staged buffers are page-aligned for O_DIRECT devices.
-  struct WriteBatch {
-    std::vector<PageId> ids;
-    std::vector<size_t> frames;
-    std::vector<bool> in_run;        // page sits in a multi-page run
-    std::vector<PageBuffer> staged;  // one buffer per run
-    std::vector<const uint8_t*> bufs;
-    std::vector<Status> statuses;    // one per page, set on completion
-    bool done = false;               // GUARDED_BY(async_mu_) in spirit
-  };
-  auto batch = std::make_shared<WriteBatch>();
+  // Stage each page's bytes under its exclusive latch (checksum stamping
+  // mutates them and the copy needs them stable against shared-latch
+  // readers), one frame at a time: the flusher never holds two latches,
+  // so it cannot form a cycle with a writer that latches page A while
+  // fetching page B. Clearing `dirty` under the same latch is what keeps
+  // a later writer's MarkDirty: only the completion of a failed write
+  // sets it again.
+  Status stage_error;
+  for (size_t pos : order) {
+    Frame& frame = frames_[frames[pos]];
+    const PageId page_id = frame.page_id.load(kRelaxed);
+    if (observer_ != nullptr) {
+      Status s =
+          observer_->BeforePageFlush(page_id, frame.page_lsn.load(kRelaxed));
+      if (!s.ok()) {
+        stage_error = Status(s.code(),
+                             StringPrintf("flushing page %u: %s", page_id,
+                                          s.message().c_str()));
+        break;
+      }
+    }
+    uint8_t* buf = staged.get() + ids.size() * kPageSize;
+    {
+      WriterMutexLock latch(frame.latch);
+      // Page 0 is the magic-prefixed database header, not a headered page.
+      if (page_id != 0) StampPageChecksum(frame.data.get());
+      std::memcpy(buf, frame.data.get(), kPageSize);
+      frame.dirty.store(false, kRelaxed);
+    }
+    ids.push_back(page_id);
+    bufs.push_back(buf);
+  }
+  const size_t m = ids.size();
+  if (!stage_error.ok()) {
+    // The frames past the failure were never staged: still dirty.
+    MutexLock lock(async_mu_);
+    for (size_t j = m; j < n; ++j) {
+      frames_[frames[order[j]]].writing.store(false, kRelaxed);
+    }
+    async_cv_.notify_all();
+  }
+  if (m == 0) return stage_error;
+
+  // The completion may run on a device thread. It settles the frames and
+  // leaves the per-page statuses in this call's locals, which are read
+  // only after the wait below has seen `done`.
+  std::vector<Status> statuses;
+  bool done = false;
+  stats_.write_batches.fetch_add(1, kRelaxed);
+  const uint64_t start_ns = NowNs();
+  device_->WritePagesAsync(
+      ids, std::move(bufs), [&](std::span<const Status> results) {
+        stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
+        for (size_t j = 0; j < m; ++j) {
+          if (results[j].ok()) {
+            stats_.disk_writes.fetch_add(1, kRelaxed);
+            stats_.bytes_written.fetch_add(kPageSize, kRelaxed);
+            const bool in_run = (j > 0 && ids[j - 1] + 1 == ids[j]) ||
+                                (j + 1 < m && ids[j] + 1 == ids[j + 1]);
+            if (in_run) stats_.coalesced_writes.fetch_add(1, kRelaxed);
+          } else {
+            // A prefix of a failed run may have reached the device;
+            // rewriting it later is always safe.
+            frames_[frames[order[j]]].dirty.store(true, kRelaxed);
+          }
+        }
+        MutexLock lock(async_mu_);
+        for (size_t j = 0; j < m; ++j) {
+          frames_[frames[order[j]]].writing.store(false, kRelaxed);
+        }
+        statuses.assign(results.begin(), results.end());
+        done = true;
+        // Notified under the lock: the submitter may return, and its
+        // locals go away, as soon as it sees `done`.
+        async_cv_.notify_all();
+      });
+  {
+    UniqueMutexLock lock(async_mu_);
+    async_cv_.wait(lock, [&] { return done; });
+  }
+
   std::string failed_pages;
   Status first_write_error;
-
-  // Hands the staged pages to the device and settles them: written pages
-  // drop their dirty bit; failed ones STAY DIRTY — a later flush rewrites
-  // them (a prefix of a failed run may have reached the device, which is
-  // always safe) — and are named in the returned status.
-  auto submit = [&] {
-    const size_t n = batch->ids.size();
-    if (n == 0) return;
-    stats_.write_batches.fetch_add(1, kRelaxed);
-    const uint64_t start_ns = NowNs();
-    if (async) {
-      stats_.async_writes.fetch_add(n, kRelaxed);
-      BeginAsyncBatch();
-      device_->WritePagesAsync(
-          batch->ids, batch->bufs,
-          [this, b = batch, start_ns](std::span<const Status> statuses) {
-            stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-            b->statuses.assign(statuses.begin(), statuses.end());
-            {
-              MutexLock lock(async_mu_);
-              b->done = true;
-            }
-            EndAsyncBatch();
-          });
-      // Wait for this batch only, not for unrelated prefetches.
-      UniqueMutexLock lock(async_mu_);
-      async_cv_.wait(lock, [&] { return batch->done; });
-    } else {
-      Status s = device_->WritePages(batch->ids, batch->bufs);
-      stats_.write_ns.fetch_add(NowNs() - start_ns, kRelaxed);
-      batch->statuses.assign(n, s);
+  for (size_t j = 0; j < m; ++j) {
+    if (statuses[j].ok()) {
+      if (written != nullptr) (*written)[order[j]] = true;
+      continue;
     }
-    for (size_t j = 0; j < n; ++j) {
-      const Status& s = batch->statuses[j];
-      if (s.ok()) {
-        frames_[batch->frames[j]].dirty.store(false, kRelaxed);
-        stats_.disk_writes.fetch_add(1, kRelaxed);
-        stats_.bytes_written.fetch_add(kPageSize, kRelaxed);
-        if (batch->in_run[j]) stats_.coalesced_writes.fetch_add(1, kRelaxed);
-      } else {
-        if (first_write_error.ok()) first_write_error = s;
-        if (!failed_pages.empty()) failed_pages += ", ";
-        failed_pages += StringPrintf("%u", batch->ids[j]);
-      }
-    }
-    batch = std::make_shared<WriteBatch>();
-  };
-
-  Status stage_error;
-
-  size_t i = 0;
-  while (i < frame_indices.size()) {
-    // Maximal contiguous PageId run starting at i.
-    size_t run = 1;
-    while (i + run < frame_indices.size() &&
-           frames_[frame_indices[i + run]].page_id.load(kRelaxed) ==
-               frames_[frame_indices[i]].page_id.load(kRelaxed) + run) {
-      ++run;
-    }
-    PageBuffer staged = AllocatePageBuffer(run);
-    // Stage each page's bytes under its exclusive latch (checksum
-    // stamping mutates them and the copy needs them stable against
-    // shared-latch readers), one frame at a time: the flusher never holds
-    // two latches, so it cannot form a cycle with a writer that latches
-    // page A while fetching page B. The copy is noise next to the write
-    // syscall it feeds. WAL flush ordering holds on both device paths:
-    // BeforePageFlush blocks until the page's LSN is durable BEFORE its
-    // bytes are staged, let alone handed to the device.
-    for (size_t j = 0; j < run; ++j) {
-      Frame& frame = frames_[frame_indices[i + j]];
-      const PageId page_id = frame.page_id.load(kRelaxed);
-      if (observer_ != nullptr) {
-        Status s = observer_->BeforePageFlush(page_id,
-                                              frame.page_lsn.load(kRelaxed));
-        if (!s.ok()) {
-          stage_error = Status(s.code(),
-                               StringPrintf("flushing page %u: %s", page_id,
-                                            s.message().c_str()));
-          break;
-        }
-      }
-      {
-        WriterMutexLock latch(frame.latch);
-        if (page_id != 0) StampPageChecksum(frame.data.get());
-        std::memcpy(staged.get() + j * kPageSize, frame.data.get(),
-                    kPageSize);
-      }
-    }
-    if (!stage_error.ok()) break;  // the partial run's frames stay dirty
-    for (size_t j = 0; j < run; ++j) {
-      batch->ids.push_back(frames_[frame_indices[i + j]].page_id.load(kRelaxed));
-      batch->frames.push_back(frame_indices[i + j]);
-      batch->in_run.push_back(run > 1);
-      batch->bufs.push_back(staged.get() + j * kPageSize);
-    }
-    batch->staged.push_back(std::move(staged));
-    if (!async) submit();
-    i += run;
+    if (first_write_error.ok()) first_write_error = statuses[j];
+    if (!failed_pages.empty()) failed_pages += ", ";
+    failed_pages += StringPrintf("%u", ids[j]);
   }
-  submit();  // asynchronous device: every staged run in one batch
   if (!first_write_error.ok()) {
     return Status(first_write_error.code(),
                   StringPrintf("flushing pages [%s] failed (frames stay "
@@ -721,62 +664,62 @@ Status BufferPool::FlushFramesOrdered(std::vector<size_t> frame_indices) {
   }
   return stage_error;
 }
+
 Status BufferPool::FlushAll() {
-  // Collect-and-pin under victim_mutex_, then flush without it: frame
-  // latches are only ever acquired after (never under) the victim lock,
-  // and the extra pin keeps each collected frame from being evicted or
-  // repurposed once the lock drops. A dirty frame that a read-ahead batch
-  // is evicting is not staged here (it is about to be reused); the flush
-  // waits for that write-back instead, and flushes the frame itself when
-  // the write failed and left it dirty: a checkpoint relies on every page
-  // dirty at entry being on the device at return.
+  // Claim under victim_mutex_, then flush without it: frame latches are
+  // only ever acquired after (never under) the victim lock, and the pin
+  // keeps each claimed frame from being evicted or repurposed once the
+  // lock drops. A frame with a write already in flight (an eviction, a
+  // read-ahead victim, another FlushAll) is not claimed again: the flush
+  // waits for that write and then reconsiders the frame, which a failed
+  // write left dirty. A checkpoint relies on every page dirty at entry
+  // being on the device at return.
   Status result;
-  std::vector<std::pair<size_t, PageId>> evicting;
+  std::vector<std::pair<size_t, PageId>> in_flight;
   bool first_pass = true;
-  while (first_pass || !evicting.empty()) {
+  while (first_pass || !in_flight.empty()) {
     if (!first_pass) {
       UniqueMutexLock lock(async_mu_);
       async_cv_.wait(lock, [&] {
-        for (const auto& [i, page_id] : evicting) {
-          if (frames_[i].evicting.load(kRelaxed)) return false;
+        for (const auto& [i, page_id] : in_flight) {
+          if (frames_[i].writing.load(kRelaxed)) return false;
         }
         return true;
       });
     }
-    std::vector<size_t> dirty;
-    std::vector<std::pair<size_t, PageId>> still_evicting;
+    std::vector<size_t> claimed;
+    std::vector<std::pair<size_t, PageId>> still_in_flight;
     {
       MutexLock victim_lock(victim_mutex_);
       auto consider = [&](size_t i, PageId expected) {
         Frame& frame = frames_[i];
-        if (!frame.in_use.load(std::memory_order_acquire) ||
-            !frame.dirty.load(kRelaxed)) {
-          return;
-        }
+        if (!frame.in_use.load(std::memory_order_acquire)) return;
         const PageId page_id = frame.page_id.load(kRelaxed);
         if (expected != kInvalidPageId && page_id != expected) return;
+        if (frame.writing.load(kRelaxed)) {
+          still_in_flight.emplace_back(i, page_id);
+          return;
+        }
+        if (!frame.dirty.load(kRelaxed)) return;
         if (observer_ != nullptr && !observer_->CanEvict(page_id)) {
           // Uncommitted transaction page: commit will release it; a crash
           // before then must leave the device without it (atomicity).
           return;
         }
-        if (frame.evicting.load(kRelaxed)) {
-          still_evicting.emplace_back(i, page_id);
-          return;
-        }
         frame.pin_count.fetch_add(1, kRelaxed);
-        dirty.push_back(i);
+        frame.writing.store(true, kRelaxed);
+        claimed.push_back(i);
       };
       if (first_pass) {
         for (size_t i = 0; i < capacity_; ++i) consider(i, kInvalidPageId);
       } else {
-        for (const auto& [i, page_id] : evicting) consider(i, page_id);
+        for (const auto& [i, page_id] : in_flight) consider(i, page_id);
       }
     }
-    Status s = FlushFramesOrdered(dirty);
-    for (size_t i : dirty) frames_[i].pin_count.fetch_sub(1, kRelaxed);
+    Status s = FlushFramesOrdered(claimed);
+    for (size_t i : claimed) DropPin(frames_[i]);
     if (result.ok()) result = s;
-    evicting = std::move(still_evicting);
+    in_flight = std::move(still_in_flight);
     first_pass = false;
   }
   return result;
@@ -905,11 +848,14 @@ uint64_t BufferPool::total_pins() const {
 
 Status BufferPool::GetVictimFrame(size_t* frame_index) {
   bool needs_writeback = false;
-  FIELDREP_RETURN_IF_ERROR(ClaimVictim(frame_index, &needs_writeback));
+  {
+    MutexLock victim_lock(victim_mutex_);
+    FIELDREP_RETURN_IF_ERROR(ClaimVictim(frame_index, &needs_writeback));
+  }
   if (!needs_writeback) return Status::OK();
-  Frame& frame = frames_[*frame_index];
-  const PageId victim_page = frame.page_id.load(kRelaxed);
-  Status s = WriteBackFrame(frame);
+  const PageId victim_page = frames_[*frame_index].page_id.load(kRelaxed);
+  const size_t claimed[] = {*frame_index};
+  Status s = FlushFramesOrdered(claimed);
   FinishEviction(*frame_index, victim_page, s.ok());
   return s;
 }
@@ -930,7 +876,7 @@ void BufferPool::FinishEviction(size_t frame_index, PageId victim_page,
   if (written) {
     ResetEvicted(frame);
   } else {
-    frame.pin_count.fetch_sub(1, kRelaxed);
+    DropPin(frame);
   }
 }
 
@@ -989,8 +935,10 @@ Status BufferPool::ClaimVictim(size_t* frame_index, bool* needs_writeback) {
     if (frame.dirty.load(kRelaxed)) {
       // Mark the entry in-flight until the write-back lands: a concurrent
       // fetcher must wait for the device write to finish, not re-read
-      // stale bytes from the device.
+      // stale bytes from the device. The write claim keeps FlushAll from
+      // writing the frame a second time meanwhile.
       shard.table[victim_page] = kFrameInFlight;
+      frame.writing.store(true, kRelaxed);
       *needs_writeback = true;
       return Status::OK();
     }
@@ -1077,9 +1025,7 @@ void BufferPool::Unpin(size_t frame_index, LatchMode mode) {
     frame.latch.unlock_shared();
   }
   assert(frame.pin_count.load(kRelaxed) > 0);
-  // Release pairs with the victim sweep's acquire load: an evictor that
-  // sees the pin gone also sees every byte written under the latch.
-  frame.pin_count.fetch_sub(1, std::memory_order_release);
+  DropPin(frame);
 }
 
 }  // namespace fieldrep

@@ -144,11 +144,20 @@ class PageGuard {
 /// in-flight marker in its shard before reading the device, so concurrent
 /// fetchers of the same page wait on the shard condvar instead of reading
 /// twice — which also keeps the logical counters (one disk_read, k hits)
-/// interleaving-invariant. Eviction and free-frame bookkeeping are
-/// serialized by a single victim mutex; an evicting thread never takes a
-/// frame latch (a pin count of zero, verified under the shard lock,
-/// implies the latch is free), so the lock order is always
-/// frame-latch -> victim -> shard and never cycles.
+/// interleaving-invariant. Victim selection and free-frame bookkeeping
+/// are serialized by a single victim mutex, under which no frame latch is
+/// taken (a pin count of zero, verified under the shard lock, implies the
+/// latch is free) and no device I/O happens: a dirty victim is claimed
+/// under the mutex and written back after it drops. The lock order is
+/// always frame-latch -> victim -> shard and never cycles.
+///
+/// Write-back protocol: every page write goes through FlushFramesOrdered.
+/// A frame is claimed for write under the victim mutex (pinned, marked
+/// `writing`), its bytes are staged under its exclusive latch with `dirty`
+/// cleared in the same step, and the write's completion marks a failed
+/// page dirty again and clears `writing`. So a writer that re-dirties a
+/// frame during its write keeps it dirty, and a frame never has two
+/// writes in flight.
 class BufferPool {
  public:
   /// \param device   backing store (not owned unless passed via TakeDevice).
@@ -173,9 +182,9 @@ class BufferPool {
   Status NewPage(PageGuard* guard);
 
   /// Batch-reads the non-resident pages of `page_ids` into victim frames
-  /// through the device's vectored read path, leaving them unpinned and
-  /// logically uncharged (see the accounting rule above). A scheduling
-  /// hint, not a correctness operation:
+  /// through one ReadPagesAsync call, leaving them unpinned and logically
+  /// uncharged (see the accounting rule above). A scheduling hint, not a
+  /// correctness operation:
   ///   - no-op when the read-ahead window is 0;
   ///   - ids that are resident, in flight, duplicated, or unallocated are
   ///     skipped;
@@ -186,19 +195,14 @@ class BufferPool {
   ///     lands. A victim whose write fails stays resident and dirty, its
   ///     claim is dropped, and the returned error names the page;
   ///   - if every frame is pinned the remainder of the batch is dropped;
-  ///   - with checksum verification enabled (see set_verify_checksums),
-  ///     pages failing it are not installed (the next FetchPage re-reads
-  ///     them through the on-demand path).
-  /// Device errors (e.g. a crashed fault-injection device) propagate.
-  ///
-  /// On an asynchronous device (device->async_io()), the batch is
-  /// submitted and Prefetch returns without waiting: frames are installed
-  /// by the device's completion callback, concurrent fetchers of an
-  /// in-flight page wait on the shard condvar exactly as for a
-  /// synchronous miss, and per-page failures abandon the claim (the next
-  /// on-demand fetch reports them). The logical accounting rule above is
-  /// unchanged — completion installs pages uncharged, first fetch
-  /// charges — so IoStats stay byte-identical.
+  ///   - a page whose read fails, or fails checksum verification (see
+  ///     set_verify_checksums), is not installed: its claim is abandoned
+  ///     and the next FetchPage re-reads it on demand and reports the
+  ///     error itself.
+  /// Only victim write-back errors are returned. Prefetch does not wait for
+  /// the reads: the completion (inline, or on the device's thread) installs
+  /// the frames, and concurrent fetchers of an in-flight page wait on the
+  /// shard condvar exactly as for an on-demand miss.
   Status Prefetch(std::span<const PageId> page_ids);
 
   /// Prefetches the distinct pages addressed by `oids` (in sorted page
@@ -213,11 +217,13 @@ class BufferPool {
   /// got through (0 when the budget is exhausted or read-ahead is off).
   Status ReadAhead(std::span<const PageId> pages, size_t* covered);
 
-  /// Writes all dirty frames back to the device (without unpinning), in
-  /// ascending PageId order with contiguous runs coalesced into vectored
-  /// writes (elevator write-back). Frames the observer protects
-  /// (uncommitted transaction pages) are skipped: their fate is decided by
-  /// commit or crash, not by a flush.
+  /// Writes all dirty frames back to the device (without unpinning) as one
+  /// PageId-ordered batch (elevator write-back; the device coalesces
+  /// contiguous runs). A frame whose write another thread has in flight
+  /// is waited for and then reconsidered, so every page dirty at entry is
+  /// on the device at return unless the returned error names it. Frames
+  /// the observer protects (uncommitted transaction pages) are skipped:
+  /// their fate is decided by commit or crash, not by a flush.
   Status FlushAll();
 
   /// Flushes and then drops every unpinned frame, so the next access to any
@@ -303,10 +309,10 @@ class BufferPool {
   /// Issues a device Sync (fsync), counted in stats as a disk_sync.
   Status SyncDevice();
 
-  /// Blocks until every asynchronously submitted batch (prefetch reads,
-  /// write-back runs) has completed and its frames are settled. Cheap
-  /// no-op on synchronous devices. Called by the destructor and EvictAll;
-  /// tests quiescing the pool around stat assertions call it directly.
+  /// Blocks until every read-ahead batch has completed and its frames are
+  /// installed or abandoned (write-backs need no drain: their submitter
+  /// always waits for them). Called by the destructor and EvictAll; tests
+  /// quiescing the pool around stat assertions call it directly.
   void DrainAsyncIo();
 
  private:
@@ -333,11 +339,12 @@ class BufferPool {
     /// Every transition goes through MarkReadAhead / ClearReadAhead, which
     /// keep read_ahead_pending_ equal to the number of frames with it set.
     std::atomic<bool> prefetched{false};
-    /// A read-ahead batch claimed this dirty frame as its victim and is
-    /// writing it back outside victim_mutex_ (its table entry is in flight
-    /// meanwhile). FlushAll waits for such write-backs instead of staging
-    /// the frame itself: the frame is about to be reused.
-    std::atomic<bool> evicting{false};
+    /// Write in flight: set under victim_mutex_ by whoever claims the
+    /// frame for write-back (an evicting miss or read-ahead, FlushAll),
+    /// and cleared, under async_mu_, by the write's completion. At most
+    /// one write of a frame is in flight; FlushAll waits for any other
+    /// before it reconsiders the frame.
+    std::atomic<bool> writing{false};
     /// Written while the frame is unreachable (under victim_mutex_ before
     /// table publication, or marked in-flight in its shard) — but read by
     /// whole-pool walks that only observe `in_use`, so it is atomic and
@@ -374,30 +381,18 @@ class BufferPool {
   /// static analysis cannot follow.
   void LatchFrame(Frame& frame, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Flush-ordering + writeback of one frame's bytes. The caller must
-  /// guarantee the bytes are stable (frame unreachable + unpinned, or
-  /// exclusive latch held).
-  Status WriteBackFrame(Frame& frame);
-
-  /// Elevator write-back of the given dirty frames: sorts by PageId,
-  /// honours BeforePageFlush per page, stamps checksums, and coalesces
-  /// contiguous runs into vectored device writes. Takes each frame's
-  /// exclusive latch around stamping + staging so concurrent readers
-  /// never observe checksum bytes mid-update. On failure the Status
-  /// names the pages that could not be written; exactly the failed
-  /// frames stay dirty (a prefix of a failed run may have reached the
-  /// device — rewriting later is safe). Called with no pool lock held
-  /// (the caller pins the frames instead): taking a frame latch under
+  /// The pool's one write-back routine (eviction, read-ahead victims,
+  /// FlushAll, checkpoint), following the protocol in the class comment.
+  /// `frames` are claimed for write (pinned, `writing` set); the pins stay
+  /// the caller's. Runs BeforePageFlush per page before staging it (WAL
+  /// flush ordering), hands the staged pages to one PageId-sorted
+  /// WritePagesAsync batch, and waits for its completion. On failure the
+  /// Status names the pages not written, whose frames stay dirty. With
+  /// `written`, `(*written)[i]` tells whether frames[i]'s page reached the
+  /// device. Called with no pool lock held: taking a frame latch under
   /// victim_mutex_ would invert the frame-latch → victim order.
-  ///
-  /// A synchronous device gets one WritePages per contiguous run, and a
-  /// failed run does not stop the later ones. An asynchronous device gets
-  /// every staged page in one WritePagesAsync batch (WAL flush ordering:
-  /// BeforePageFlush blocks per page BEFORE its bytes are staged), so the
-  /// ring sees one deep submission; the call then blocks until the batch
-  /// completes, so the post-conditions (dirty bits, error reporting,
-  /// counters) are identical on both paths.
-  Status FlushFramesOrdered(std::vector<size_t> frame_indices)
+  Status FlushFramesOrdered(std::span<const size_t> frames,
+                            std::vector<bool>* written = nullptr)
       EXCLUDES(victim_mutex_);
 
   /// One claimed-but-unfilled prefetch page: in-flight marker published
@@ -416,9 +411,9 @@ class BufferPool {
   /// Prefetch and ReadAhead.
   Status ReadAheadBatch(std::span<const PageId> ids);
 
-  /// Hands the claims' frames to the device read (asynchronously on an
-  /// async device) and installs the pages; marks them read-ahead first.
-  Status SubmitReadAhead(std::vector<PrefetchClaim> claims);
+  /// Marks the claims' frames read-ahead and hands them to one
+  /// ReadPagesAsync batch, whose completion installs the pages.
+  void SubmitReadAhead(std::vector<PrefetchClaim> claims);
 
   /// Read-ahead accounting: set / clear `frame.prefetched`, keeping
   /// read_ahead_pending_ exact. ClearReadAhead reports whether the mark
@@ -429,14 +424,13 @@ class BufferPool {
   /// Clears a frame whose page just left the table (evicted).
   void ResetEvicted(Frame& frame);
 
-  /// Completion half of Prefetch, shared by the synchronous path and the
-  /// async completion callback (device reaper thread): installs each
-  /// claim whose read succeeded (unpinned, logically uncharged,
-  /// checksum-verified) and abandons the rest.
+  /// The completion of every read-ahead batch (inline, or on the device's
+  /// thread): installs each claim whose read succeeded (unpinned,
+  /// logically uncharged, checksum-verified) and abandons the rest.
   void InstallPrefetchedPages(std::span<const PrefetchClaim> claims,
                               std::span<const Status> statuses);
 
-  /// Async-batch bookkeeping for DrainAsyncIo.
+  /// Read-ahead batch bookkeeping for DrainAsyncIo.
   void BeginAsyncBatch();
   void EndAsyncBatch();
 
@@ -444,9 +438,10 @@ class BufferPool {
   /// pin_count 1, so no later sweep hands it out again once
   /// victim_mutex_ drops. Returns FailedPrecondition if every frame is
   /// pinned. A clean victim comes back evicted (unreachable, no page). A
-  /// dirty victim (`*needs_writeback`) still holds its page: its table
-  /// entry is marked in flight, so fetchers of the page wait, and the
-  /// caller must write it back and then call FinishEviction.
+  /// dirty victim (`*needs_writeback`) still holds its page and is
+  /// claimed for write (`writing` set): its table entry is marked in
+  /// flight, so fetchers of the page wait, and the caller must write it
+  /// back through FlushFramesOrdered and then call FinishEviction.
   Status ClaimVictim(size_t* frame_index, bool* needs_writeback)
       REQUIRES(victim_mutex_);
 
@@ -456,10 +451,11 @@ class BufferPool {
   /// still dirty, and unpins it. Wakes the page's waiters either way.
   void FinishEviction(size_t frame_index, PageId victim_page, bool written);
 
-  /// ClaimVictim with the write-back done inline (one page, under
-  /// victim_mutex_ — the on-demand miss path). On a failed write the
-  /// victim stays resident and dirty and the error is returned.
-  Status GetVictimFrame(size_t* frame_index) REQUIRES(victim_mutex_);
+  /// The on-demand miss path's victim: ClaimVictim under victim_mutex_,
+  /// then, with the mutex dropped, a dirty victim's write-back through
+  /// FlushFramesOrdered. On a failed write the victim stays resident and
+  /// dirty and the error is returned.
+  Status GetVictimFrame(size_t* frame_index) EXCLUDES(victim_mutex_);
 
   /// Returns a claimed-but-uninstalled frame to the free list and erases
   /// the page's in-flight marker, waking waiters to retry.
@@ -469,6 +465,13 @@ class BufferPool {
   /// acquisition happened in FetchPage/NewPage, so this is the unbalanced
   /// other half the analysis cannot follow).
   void Unpin(size_t frame_index, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS;
+
+  /// Drops one pin with release order, pairing with the victim sweep's
+  /// acquire load: an evictor that sees the pin gone also sees every byte
+  /// written, and every device transfer made, under it.
+  static void DropPin(Frame& frame) {
+    frame.pin_count.fetch_sub(1, std::memory_order_release);
+  }
 
   StorageDevice* device_;
   std::unique_ptr<StorageDevice> owned_device_;
@@ -489,10 +492,11 @@ class BufferPool {
   std::atomic<uint64_t> eviction_scan_steps_{0};
   std::atomic<uint64_t> evictions_{0};
   PageObserver* observer_ = nullptr;
-  /// Outstanding asynchronously submitted device batches. kLeaf: taken
-  /// only with no other pool or device lock held (submitters bump it
-  /// before handing the batch to the device; completion callbacks
-  /// decrement it last, after all frame bookkeeping).
+  /// Guards the outstanding read-ahead count, write batches' completion
+  /// flags, and the clearing of Frame::writing; async_cv_ wakes DrainAsyncIo,
+  /// write submitters and FlushAll. kLeaf: taken with no other pool or
+  /// device lock held (read-ahead completions decrement the count last,
+  /// after all frame bookkeeping).
   mutable Mutex async_mu_{LockRank::kLeaf, "pool.async_mu"};
   CondVar async_cv_;
   size_t async_inflight_ GUARDED_BY(async_mu_) = 0;

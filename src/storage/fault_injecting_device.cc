@@ -15,11 +15,12 @@ Status CrashedStatus() {
 bool FaultInjectingDevice::ChargeOp(bool* torn) {
   *torn = false;
   if (plan_->crashed) return false;
-  ++plan_->ops_seen;
-  if (plan_->writes_until_crash != 0 &&
-      plan_->ops_seen >= plan_->writes_until_crash) {
+  const uint64_t seen = ++plan_->ops_seen;
+  if (plan_->writes_until_crash != 0 && seen >= plan_->writes_until_crash) {
     plan_->crashed = true;
-    *torn = plan_->torn_final_write;
+    // Only the operation that trips the crash may be torn; one that raced
+    // past the check above just fails.
+    *torn = plan_->torn_final_write && seen == plan_->writes_until_crash;
     return false;
   }
   return true;

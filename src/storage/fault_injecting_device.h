@@ -1,6 +1,7 @@
 #ifndef FIELDREP_STORAGE_FAULT_INJECTING_DEVICE_H_
 #define FIELDREP_STORAGE_FAULT_INJECTING_DEVICE_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "storage/storage_device.h"
@@ -13,6 +14,9 @@ namespace fieldrep {
 /// around one plan, so "crash after the k-th durable operation" counts
 /// operations across the two devices in the order the engine issues them
 /// — exactly the boundaries at which a real machine could lose power.
+/// The schedule fields are set while the devices are idle; `crashed` and
+/// `ops_seen` change under concurrent operations (a WAL flush and a
+/// durability wait, say), so they are atomic.
 struct FaultPlan {
   /// Durable operations (WritePage / AllocatePage / Sync) to allow before
   /// the crash. 0 means no crash is scheduled.
@@ -29,9 +33,9 @@ struct FaultPlan {
   PageId failing_read_page = kInvalidPageId;
 
   /// True once the crash has tripped; every later operation fails.
-  bool crashed = false;
+  std::atomic<bool> crashed = false;
   /// Durable operations observed so far.
-  uint64_t ops_seen = 0;
+  std::atomic<uint64_t> ops_seen = 0;
 
   /// Arms a crash after `n` more durable operations.
   void Arm(uint64_t n, bool torn = false) {

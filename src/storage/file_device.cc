@@ -281,7 +281,7 @@ Status FileDevice::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous path: pread/pwrite per page, preadv/pwritev per run.
+// Without the ring: pread/pwrite per page, preadv/pwritev per run.
 // ---------------------------------------------------------------------------
 
 Status FileDevice::TransferPage(PageId page_id, uint8_t* buf, bool is_read) {
@@ -321,8 +321,9 @@ Status FileDevice::WritePage(PageId page_id, const void* buf) {
                       /*is_read=*/false);
 }
 
-Status FileDevice::TransferRuns(std::span<const PageId> page_ids,
-                                const uint8_t* const* bufs, bool is_read) {
+void FileDevice::TransferRuns(std::span<const PageId> page_ids,
+                              const uint8_t* const* bufs, bool is_read,
+                              std::span<Status> statuses) {
   size_t i = 0;
   while (i < page_ids.size()) {
     // Maximal contiguous run starting at i (capped per syscall). A buffer
@@ -333,65 +334,48 @@ Status FileDevice::TransferRuns(std::span<const PageId> page_ids,
            !NeedsBounce(bufs[i + run])) {
       ++run;
     }
+    Status s;
     if (run == 1) {
-      FIELDREP_RETURN_IF_ERROR(TransferPage(
-          page_ids[i], const_cast<uint8_t*>(bufs[i]), is_read));
-      ++i;
-      continue;
-    }
-    if (page_ids[i] + run > page_count()) {
-      return Status::OutOfRange(StringPrintf("vectored %s past page %u",
-                                             is_read ? "read" : "write",
-                                             page_count()));
-    }
-    std::vector<struct iovec> iov(run);
-    for (size_t j = 0; j < run; ++j) {
-      iov[j].iov_base = const_cast<uint8_t*>(bufs[i + j]);
-      iov[j].iov_len = kPageSize;
-    }
-    size_t done = 0;
-    const size_t total = run * kPageSize;
-    off_t base = static_cast<off_t>(page_ids[i]) * kPageSize;
-    while (done < total) {
-      // Resume after a short transfer: skip fully-moved iovecs and trim
-      // the partially-moved one.
-      size_t skip = done / kPageSize;
-      size_t within = done % kPageSize;
-      iov[skip].iov_base = const_cast<uint8_t*>(bufs[i + skip]) + within;
-      iov[skip].iov_len = kPageSize - within;
-      const int count = static_cast<int>(run - skip);
-      const off_t offset = base + static_cast<off_t>(done);
-      ssize_t n = is_read ? ::preadv(fd_, iov.data() + skip, count, offset)
-                          : ::pwritev(fd_, iov.data() + skip, count, offset);
-      if (n <= 0) {
-        return Status::IOError(StringPrintf(
-            "%s at page %u: %s", is_read ? "preadv" : "pwritev",
-            page_ids[i] + static_cast<PageId>(skip),
-            n == 0 ? "short transfer" : std::strerror(errno)));
+      s = TransferPage(page_ids[i], const_cast<uint8_t*>(bufs[i]), is_read);
+    } else if (page_ids[i] + run > page_count()) {
+      s = Status::OutOfRange(StringPrintf("vectored %s past page %u",
+                                          is_read ? "read" : "write",
+                                          page_count()));
+    } else {
+      std::vector<struct iovec> iov(run);
+      for (size_t j = 0; j < run; ++j) {
+        iov[j].iov_base = const_cast<uint8_t*>(bufs[i + j]);
+        iov[j].iov_len = kPageSize;
       }
-      iov[skip].iov_base = const_cast<uint8_t*>(bufs[i + skip]);
-      iov[skip].iov_len = kPageSize;
-      done += static_cast<size_t>(n);
+      size_t done = 0;
+      const size_t total = run * kPageSize;
+      off_t base = static_cast<off_t>(page_ids[i]) * kPageSize;
+      while (done < total) {
+        // Resume after a short transfer: skip fully-moved iovecs and trim
+        // the partially-moved one.
+        size_t skip = done / kPageSize;
+        size_t within = done % kPageSize;
+        iov[skip].iov_base = const_cast<uint8_t*>(bufs[i + skip]) + within;
+        iov[skip].iov_len = kPageSize - within;
+        const int count = static_cast<int>(run - skip);
+        const off_t offset = base + static_cast<off_t>(done);
+        ssize_t n = is_read ? ::preadv(fd_, iov.data() + skip, count, offset)
+                            : ::pwritev(fd_, iov.data() + skip, count, offset);
+        if (n <= 0) {
+          s = Status::IOError(StringPrintf(
+              "%s at page %u: %s", is_read ? "preadv" : "pwritev",
+              page_ids[i] + static_cast<PageId>(skip),
+              n == 0 ? "short transfer" : std::strerror(errno)));
+          break;
+        }
+        iov[skip].iov_base = const_cast<uint8_t*>(bufs[i + skip]);
+        iov[skip].iov_len = kPageSize;
+        done += static_cast<size_t>(n);
+      }
     }
+    for (size_t j = 0; j < run; ++j) statuses[i + j] = s;
     i += run;
   }
-  return Status::OK();
-}
-
-Status FileDevice::ReadPages(std::span<const PageId> page_ids,
-                             std::span<uint8_t* const> bufs) {
-  if (ring_active() && page_ids.size() >= 2) {
-    return SubmitBatchAndWait(page_ids, bufs, {}, /*is_read=*/true);
-  }
-  return TransferRuns(page_ids, bufs.data(), /*is_read=*/true);
-}
-
-Status FileDevice::WritePages(std::span<const PageId> page_ids,
-                              std::span<const uint8_t* const> bufs) {
-  if (ring_active() && page_ids.size() >= 2) {
-    return SubmitBatchAndWait(page_ids, {}, bufs, /*is_read=*/false);
-  }
-  return TransferRuns(page_ids, bufs.data(), /*is_read=*/false);
 }
 
 Status FileDevice::AllocatePage(PageId* page_id) {
@@ -561,58 +545,29 @@ void FileDevice::SubmitBatch(std::vector<PageId> page_ids,
 #endif
 }
 
-Status FileDevice::SubmitBatchAndWait(std::span<const PageId> page_ids,
-                                      std::span<uint8_t* const> rbufs,
-                                      std::span<const uint8_t* const> wbufs,
-                                      bool is_read) {
-  struct WaitState {
-    bool finished = false;
-    Status first_error;
-  };
-  auto ws = std::make_shared<WaitState>();
-  SubmitBatch(
-      std::vector<PageId>(page_ids.begin(), page_ids.end()),
-      std::vector<uint8_t*>(rbufs.begin(), rbufs.end()),
-      std::vector<const uint8_t*>(wbufs.begin(), wbufs.end()), is_read,
-      [this, ws](std::span<const Status> statuses) {
-        Status err;
-        for (const Status& s : statuses) {
-          if (!s.ok()) {
-            err = s;
-            break;
-          }
-        }
-        UniqueMutexLock l(mu_);
-        ws->first_error = std::move(err);
-        ws->finished = true;
-        cv_.notify_all();
-      });
-  UniqueMutexLock l(mu_);
-  cv_.wait(l, [&] { return ws->finished; });
-  return ws->first_error;
-}
-
 void FileDevice::ReadPagesAsync(std::vector<PageId> page_ids,
                                 std::vector<uint8_t*> bufs, AsyncDone done) {
-  if (!ring_active()) {
-    StorageDevice::ReadPagesAsync(std::move(page_ids), std::move(bufs),
-                                  std::move(done));
+  if (ring_active()) {
+    SubmitBatch(std::move(page_ids), std::move(bufs), {}, /*is_read=*/true,
+                std::move(done));
     return;
   }
-  SubmitBatch(std::move(page_ids), std::move(bufs), {}, /*is_read=*/true,
-              std::move(done));
+  std::vector<Status> statuses(page_ids.size());
+  TransferRuns(page_ids, bufs.data(), /*is_read=*/true, statuses);
+  done(statuses);
 }
 
 void FileDevice::WritePagesAsync(std::vector<PageId> page_ids,
                                  std::vector<const uint8_t*> bufs,
                                  AsyncDone done) {
-  if (!ring_active()) {
-    StorageDevice::WritePagesAsync(std::move(page_ids), std::move(bufs),
-                                   std::move(done));
+  if (ring_active()) {
+    SubmitBatch(std::move(page_ids), {}, std::move(bufs), /*is_read=*/false,
+                std::move(done));
     return;
   }
-  SubmitBatch(std::move(page_ids), {}, std::move(bufs), /*is_read=*/false,
-              std::move(done));
+  std::vector<Status> statuses(page_ids.size());
+  TransferRuns(page_ids, bufs.data(), /*is_read=*/false, statuses);
+  done(statuses);
 }
 
 // ---------------------------------------------------------------------------

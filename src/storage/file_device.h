@@ -82,28 +82,20 @@ class FileDevice : public StorageDevice {
   /// True when the backing file is open with O_DIRECT.
   bool o_direct() const { return o_direct_; }
 
-  bool async_io() const override { return ring_active(); }
-
   Status ReadPage(PageId page_id, void* buf) override;
   Status WritePage(PageId page_id, const void* buf) override;
-  /// One SQE per page over the ring when it is active; otherwise
-  /// contiguous page-id runs coalesce into preadv calls.
-  Status ReadPages(std::span<const PageId> page_ids,
-                   std::span<uint8_t* const> bufs) override;
-  /// The mirror of ReadPages (pwritev without the ring).
-  Status WritePages(std::span<const PageId> page_ids,
-                    std::span<const uint8_t* const> bufs) override;
-  /// True asynchronous submission when the ring is active: returns after
-  /// the SQEs are in the ring, and `done` runs on the reaper thread.
+  /// With the ring: one SQE per page, and `done` runs on the reaper
+  /// thread. Without it: contiguous page-id runs coalesce into preadv
+  /// calls and `done` runs inline, with one status per run.
   void ReadPagesAsync(std::vector<PageId> page_ids,
                       std::vector<uint8_t*> bufs, AsyncDone done) override;
+  /// The mirror of ReadPagesAsync (pwritev without the ring).
   void WritePagesAsync(std::vector<PageId> page_ids,
                        std::vector<const uint8_t*> bufs,
                        AsyncDone done) override;
   Status AllocatePage(PageId* page_id) override;
-  /// fdatasync on the backing file. FlushFramesOrdered harvests every
-  /// write completion before the checkpoint issues this, so the sync
-  /// covers all previously completed batches.
+  /// fdatasync on the backing file. The buffer pool waits for every write
+  /// batch it submits, so a checkpoint's sync covers all of them.
   Status Sync() override;
   uint32_t page_count() const override {
     return page_count_.load(std::memory_order_relaxed);
@@ -135,24 +127,20 @@ class FileDevice : public StorageDevice {
 
   /// The ring-less batch path: contiguous runs of pages go out as one
   /// preadv/pwritev, single pages and bounced buffers through
-  /// TransferPage. `bufs` are written to only when `is_read`.
-  Status TransferRuns(std::span<const PageId> page_ids,
-                      const uint8_t* const* bufs, bool is_read);
+  /// TransferPage. Each run's status is stored for every page of the run
+  /// in `statuses`; a failed run does not stop the later ones. `bufs` are
+  /// written to only when `is_read`.
+  void TransferRuns(std::span<const PageId> page_ids,
+                    const uint8_t* const* bufs, bool is_read,
+                    std::span<Status> statuses);
 
-  /// Submits one async batch into the ring (blocking while the pending
-  /// table is full) and returns immediately; completion bookkeeping runs
-  /// on the reaper thread. Pages failing the bounds check complete
-  /// immediately with OutOfRange.
+  /// Submits one batch into the ring (blocking while the pending table is
+  /// full) and returns immediately; completion bookkeeping runs on the
+  /// reaper thread. Pages failing the bounds check complete immediately
+  /// with OutOfRange.
   void SubmitBatch(std::vector<PageId> page_ids, std::vector<uint8_t*> rbufs,
                    std::vector<const uint8_t*> wbufs, bool is_read,
                    AsyncDone done);
-
-  /// SubmitBatch + wait for the batch's completion; returns the first
-  /// per-page error (ReadPages/WritePages over the ring).
-  Status SubmitBatchAndWait(std::span<const PageId> page_ids,
-                            std::span<uint8_t* const> rbufs,
-                            std::span<const uint8_t* const> wbufs,
-                            bool is_read);
 
   /// Best-effort ring construction: mmaps the SQ/CQ rings and starts the
   /// reaper. Leaves ring_ null on any failure.
@@ -185,7 +173,7 @@ class FileDevice : public StorageDevice {
   /// before invoking completion callbacks (which re-enter the buffer
   /// pool at lower lock ranks).
   mutable Mutex mu_{LockRank::kDevice, "file_device.mu"};
-  CondVar cv_;  ///< Free pending slots / sync-batch completion.
+  CondVar cv_;  ///< Free pending slots.
   bool stop_ = false;
 
   // Stats (relaxed atomics, the IoStats discipline).

@@ -26,13 +26,11 @@ namespace fieldrep {
 ///   coalesced_writes pages written inside multi-page contiguous runs
 ///   bytes_read       bytes physically read from the device
 ///   bytes_written    bytes physically written to the device
-///   async_reads      pages whose physical read was submitted asynchronously
-///   async_writes     pages whose physical write was submitted asynchronously
 ///   read_batches     read-ahead batches handed to the device
 ///                    (batched_reads / read_batches = pages per batch)
-///   write_batches    write submissions to the device: one per single-page
-///                    eviction write, per run on a synchronous device, per
-///                    flush on an asynchronous one
+///   write_batches    write-back batches handed to the device: one per
+///                    on-demand eviction, read-ahead victim set, or flush,
+///                    whatever the device
 ///                    (disk_writes / write_batches = pages per submission)
 ///   read_ns          wall-clock nanoseconds in device reads
 ///   write_ns         wall-clock nanoseconds in device writes
@@ -45,8 +43,6 @@ namespace fieldrep {
   X(disk_syncs)                     \
   X(batched_reads)                  \
   X(coalesced_writes)               \
-  X(async_reads)                    \
-  X(async_writes)                   \
   X(read_batches)                   \
   X(write_batches)                  \
   X(bytes_read)                     \

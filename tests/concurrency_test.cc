@@ -5,11 +5,16 @@
 // funneled through atomic counters; gtest macros run on the main thread.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "gtest/gtest.h"
 #include "storage/buffer_pool.h"
 #include "storage/memory_device.h"
@@ -135,6 +140,221 @@ TEST(ConcurrencyTest, PoolWalksRaceFillsWithoutTearing) {
   EXPECT_LE(pool.pages_cached(), 16u);
   FR_ASSERT_OK(pool.FlushAll());
   EXPECT_EQ(pool.total_pins(), 0u);
+}
+
+/// A point at which a write batch's submitter stops until the test opens
+/// it: one use, one stopped thread.
+class Gate {
+ public:
+  /// Called by the device: blocks the calling submitter here until Open().
+  void Stop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    reached_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+  /// Blocks until a submitter has stopped here.
+  void WaitReached() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return reached_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool reached_ = false;
+  bool open_ = false;
+};
+
+/// MemoryDevice whose page writes follow a script, for the races around
+/// a write-back. Each scripted write is the next write of a given page. It
+/// stops at `before` with nothing written yet (the frame is still marked
+/// write-in-flight), then fails if asked. If its batch came through
+/// WritePagesAsync, the submitter stops again at `after`, once the batch's
+/// completion has run but before the submitter returns to act on the
+/// outcome. Null gates do not stop.
+class GatedWriteDevice : public MemoryDevice {
+ public:
+  void ScriptNextWrite(PageId page_id, bool fail, Gate* before,
+                       Gate* after = nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    scripts_.push_back({page_id, fail, before, after});
+  }
+
+  Status WritePage(PageId page_id, const void* buf) override {
+    Script script;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = scripts_.begin(); it != scripts_.end(); ++it) {
+        if (it->page_id == page_id) {
+          script = *it;
+          scripts_.erase(it);
+          break;
+        }
+      }
+      if (script.after != nullptr) {
+        after_[std::this_thread::get_id()] = script.after;
+      }
+    }
+    if (script.before != nullptr) script.before->Stop();
+    if (script.fail) {
+      return Status::IOError(
+          StringPrintf("injected write failure on page %u", page_id));
+    }
+    return MemoryDevice::WritePage(page_id, buf);
+  }
+
+  // The default loops WritePage and completes inline on this thread.
+  void WritePagesAsync(std::vector<PageId> page_ids,
+                       std::vector<const uint8_t*> bufs,
+                       AsyncDone done) override {
+    MemoryDevice::WritePagesAsync(std::move(page_ids), std::move(bufs),
+                                  std::move(done));
+    Gate* after = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = after_.find(std::this_thread::get_id());
+      if (it != after_.end()) {
+        after = it->second;
+        after_.erase(it);
+      }
+    }
+    if (after != nullptr) after->Stop();
+  }
+
+ private:
+  struct Script {
+    PageId page_id = kInvalidPageId;
+    bool fail = false;
+    Gate* before = nullptr;
+    Gate* after = nullptr;
+  };
+  std::mutex mu_;
+  std::vector<Script> scripts_;
+  std::map<std::thread::id, Gate*> after_;
+};
+
+// A writer that stores into a page while FlushAll's write of the page's
+// older bytes is in flight must leave the page dirty: the flush wrote the
+// bytes it staged, not the new ones, so clearing the dirty bit when the
+// write lands would lose the new bytes at the next eviction.
+TEST(ConcurrencyTest, WriteDuringFlushKeepsPageDirty) {
+  GatedWriteDevice device;
+  BufferPool pool(&device, 8);
+  PageId page;
+  {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.NewPage(&guard));
+    page = guard.page_id();
+    guard.data()[100] = 1;
+    guard.MarkDirty();
+  }
+  FR_ASSERT_OK(pool.FlushAll());
+  {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.FetchPage(page, &guard));
+    guard.data()[100] = 2;
+    guard.MarkDirty();
+  }
+
+  Gate flush_write;
+  device.ScriptNextWrite(page, /*fail=*/false, &flush_write);
+  Status flush_status;
+  std::thread flusher([&] { flush_status = pool.FlushAll(); });
+  flush_write.WaitReached();  // byte 2 is staged, its write in flight
+  {
+    PageGuard guard;
+    Status s = pool.FetchPage(page, &guard);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (s.ok()) {
+      guard.data()[100] = 3;
+      guard.MarkDirty();
+    }
+  }
+  flush_write.Open();
+  flusher.join();
+  FR_ASSERT_OK(flush_status);
+
+  EXPECT_EQ(pool.DirtyPageIds(), std::vector<PageId>{page});
+  FR_ASSERT_OK(pool.EvictAll());
+  PageGuard guard;
+  FR_ASSERT_OK(pool.FetchPage(page, &guard, LatchMode::kShared));
+  EXPECT_EQ(guard.data()[100], 3);
+}
+
+// FlushAll finds a read-ahead victim's write in flight, waits for it, and
+// when that write fails writes the page back itself: every page dirty at
+// FlushAll's entry is on the device at its return. The read-ahead decides
+// its victim's fate only after FlushAll has claimed the frame again and
+// staged it (clearing its dirty bit), and while FlushAll's own write is
+// still in flight. The victim must stay resident: a fetch of its page in
+// that window sees the new bytes, not the device's old ones, and no pin is
+// dropped twice.
+TEST(ConcurrencyTest, FlushAllWritesBackAFailedReadAheadVictim) {
+  GatedWriteDevice device;
+  BufferPool pool(&device, 1);  // one frame: the read-ahead must evict it
+  PageId victim;
+  PageId other;
+  {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.NewPage(&guard));
+    victim = guard.page_id();
+  }
+  {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.NewPage(&guard));
+    other = guard.page_id();
+  }
+  FR_ASSERT_OK(pool.FlushAll());
+  {
+    PageGuard guard;
+    FR_ASSERT_OK(pool.FetchPage(victim, &guard));
+    guard.data()[100] = 0x22;
+    guard.MarkDirty();
+  }
+
+  Gate victim_write;     // the read-ahead's write of its victim
+  Gate victim_outcome;   // the read-ahead, holding that write's failure
+  Gate flush_write;      // FlushAll's own write of the page
+  device.ScriptNextWrite(victim, /*fail=*/true, &victim_write,
+                         &victim_outcome);
+  device.ScriptNextWrite(victim, /*fail=*/false, &flush_write);
+  Status prefetch_status;
+  Status flush_status;
+  std::thread reader(
+      [&] { prefetch_status = pool.Prefetch(std::vector<PageId>{other}); });
+  victim_write.WaitReached();  // the read-ahead claimed the victim
+  std::thread flusher([&] { flush_status = pool.FlushAll(); });
+  // Let FlushAll find the write in flight and wait on it. Were it slower,
+  // it would find the failed page dirty instead: the outcome is the same.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  victim_write.Open();
+  flush_write.WaitReached();  // FlushAll claimed and staged the page
+  victim_outcome.Open();
+  reader.join();
+  EXPECT_FALSE(prefetch_status.ok());
+  {
+    PageGuard guard;
+    Status s = pool.FetchPage(victim, &guard, LatchMode::kShared);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (s.ok()) {
+      EXPECT_EQ(guard.data()[100], 0x22);
+    }
+  }
+  flush_write.Open();
+  flusher.join();
+
+  FR_ASSERT_OK(flush_status);
+  EXPECT_TRUE(pool.DirtyPageIds().empty());
+  EXPECT_EQ(pool.total_pins(), 0u);
+  uint8_t raw[kPageSize];
+  FR_ASSERT_OK(device.ReadPage(victim, raw));
+  EXPECT_EQ(raw[100], 0x22);
 }
 
 // Guard moves transfer the pin; the source goes inert and releasing the

@@ -127,7 +127,7 @@ TEST(PrefetchOidTest, PrefetchesDistinctPagesOfOidBatch) {
 // --- Elevator write-back -----------------------------------------------------
 
 /// StorageDevice decorator that records the page-id sequence of every
-/// vectored write batch it forwards.
+/// write batch it forwards.
 class WriteRecordingDevice : public StorageDevice {
  public:
   explicit WriteRecordingDevice(StorageDevice* base) : base_(base) {}
@@ -139,10 +139,12 @@ class WriteRecordingDevice : public StorageDevice {
     batches_.push_back({page_id});
     return base_->WritePage(page_id, buf);
   }
-  Status WritePages(std::span<const PageId> page_ids,
-                    std::span<const uint8_t* const> bufs) override {
-    batches_.emplace_back(page_ids.begin(), page_ids.end());
-    return base_->WritePages(page_ids, bufs);
+  void WritePagesAsync(std::vector<PageId> page_ids,
+                       std::vector<const uint8_t*> bufs,
+                       AsyncDone done) override {
+    batches_.push_back(page_ids);
+    base_->WritePagesAsync(std::move(page_ids), std::move(bufs),
+                           std::move(done));
   }
   Status AllocatePage(PageId* page_id) override {
     return base_->AllocatePage(page_id);
@@ -164,7 +166,7 @@ TEST(ElevatorFlushTest, FlushesInAscendingOrderWithContiguousRunsCoalesced) {
   std::vector<PageId> pages = SeedPages(&pool, 8);
 
   // Dirty pages {6, 1, 0, 3, 2} in scrambled order; the flush must come
-  // out as the sorted runs [0 1 2 3] and [6].
+  // out as one sorted batch, [0 1 2 3] being a contiguous run.
   for (PageId id : {pages[6], pages[1], pages[0], pages[3], pages[2]}) {
     PageGuard guard;
     FR_ASSERT_OK(pool.FetchPage(id, &guard));
@@ -175,16 +177,16 @@ TEST(ElevatorFlushTest, FlushesInAscendingOrderWithContiguousRunsCoalesced) {
   pool.ResetStats();
   FR_ASSERT_OK(pool.FlushAll());
 
-  ASSERT_EQ(device.batches().size(), 2u);
+  ASSERT_EQ(device.batches().size(), 1u);
   EXPECT_EQ(device.batches()[0],
-            (std::vector<PageId>{pages[0], pages[1], pages[2], pages[3]}));
-  EXPECT_EQ(device.batches()[1], std::vector<PageId>{pages[6]});
+            (std::vector<PageId>{pages[0], pages[1], pages[2], pages[3],
+                                 pages[6]}));
   // Logical writes count every page; coalesced_writes only multi-page runs;
-  // a synchronous device gets one submission per run.
+  // every device gets one submission per flush.
   EXPECT_EQ(pool.stats().disk_writes, 5u);
   EXPECT_EQ(pool.stats().coalesced_writes, 4u);
   EXPECT_EQ(pool.stats().bytes_written, 5u * kPageSize);
-  EXPECT_EQ(pool.stats().write_batches, 2u);
+  EXPECT_EQ(pool.stats().write_batches, 1u);
 }
 
 // --- Stage read-ahead budget ---------------------------------------------------
@@ -306,7 +308,7 @@ TEST(EvictionWriteBackTest, FailedVictimStaysDirtyAndResidentOthersLand) {
   ASSERT_NE(pool.PeekPage(victims[2]), nullptr);
   EXPECT_EQ(pool.PeekPage(victims[2])[5], 0xC2);
   EXPECT_EQ(pool.stats().disk_writes, 3u);
-  EXPECT_EQ(pool.stats().write_batches, 4u);
+  EXPECT_EQ(pool.stats().write_batches, 1u);
   EXPECT_EQ(pool.stats().batched_reads, 3u);
   EXPECT_EQ(pool.stats().read_batches, 1u);
   EXPECT_EQ(pool.total_pins(), 0u);
@@ -449,11 +451,17 @@ TEST(PrefetchTest, DeviceErrorInstallsNothingAndLeaksNoFrames) {
   std::vector<PageId> pages = SeedPages(&pool, 4);
 
   plan.crashed = true;  // machine down: every read fails
-  Status s = pool.Prefetch(pages);
-  EXPECT_FALSE(s.ok());
+  // A prefetch is a hint: its failed reads abandon their claims, and the
+  // on-demand fetch reports the error.
+  FR_ASSERT_OK(pool.Prefetch(pages));
   EXPECT_EQ(pool.pages_cached(), 0u);
   EXPECT_EQ(pool.total_pins(), 0u);
   EXPECT_EQ(pool.stats().batched_reads, 0u);
+  {
+    PageGuard guard;
+    EXPECT_FALSE(pool.FetchPage(pages[0], &guard).ok());
+  }
+  EXPECT_EQ(pool.total_pins(), 0u);
 
   plan.Reset();  // reboot: on-demand access works again
   PageGuard guard;

@@ -453,49 +453,21 @@ TEST(WalCrashTest, CrashDuringCheckpointKeepsCommittedUpdate) {
   }
 }
 
-// --- Crash mid asynchronous write-back (DESIGN.md §15) ------------------------
-
-/// Marks a fault-injecting device as asynchronous, so the buffer pool
-/// takes its async write-back/prefetch paths (staging, submit-then-wait,
-/// completion-driven settling) while the inherited inline-completing
-/// default *Async implementations keep the plan's per-page crash
-/// semantics fully deterministic.
-class AsyncFaultShim : public StorageDevice {
- public:
-  explicit AsyncFaultShim(FaultInjectingDevice* inner) : inner_(inner) {}
-
-  bool async_io() const override { return true; }
-  Status ReadPage(PageId page_id, void* buf) override {
-    return inner_->ReadPage(page_id, buf);
-  }
-  Status WritePage(PageId page_id, const void* buf) override {
-    return inner_->WritePage(page_id, buf);
-  }
-  Status AllocatePage(PageId* page_id) override {
-    return inner_->AllocatePage(page_id);
-  }
-  Status Sync() override { return inner_->Sync(); }
-  uint32_t page_count() const override { return inner_->page_count(); }
-
- private:
-  FaultInjectingDevice* inner_;
-};
+// --- Crash mid batched write-back (DESIGN.md §15) -----------------------------
 
 TEST(WalCrashTest, CrashMidAsyncFlushRecoversClean) {
-  // A checkpoint over an asynchronous device submits its dirty-page runs
-  // through WritePagesAsync; a crash landing between two pages of a
-  // submitted run surfaces as per-page completion errors (frames stay
-  // dirty), and recovery from the WAL must still land on a consistent
-  // state with the committed update intact.
+  // A checkpoint submits its dirty pages as one WritePagesAsync batch; a
+  // crash landing between two pages of the batch surfaces as per-page
+  // completion errors (frames stay dirty), and recovery from the WAL must
+  // still land on a consistent state with the committed update intact.
   Scenario base_scenario = InPlaceScenario();
   uint64_t ops;
   {
     CrashRig rig;
-    AsyncFaultShim shim(&rig.db_dev);
     Scenario scenario = base_scenario;
     Database::Options options;
     options.buffer_pool_frames = 512;
-    options.device = &shim;
+    options.device = &rig.db_dev;
     options.wal_device = &rig.log_dev;
     options.enable_wal = true;
     auto db_or = Database::Open(options);
@@ -514,13 +486,12 @@ TEST(WalCrashTest, CrashMidAsyncFlushRecoversClean) {
       SCOPED_TRACE(StringPrintf("async-flush crash after %d ops%s",
                                 static_cast<int>(k), torn ? " (torn)" : ""));
       CrashRig rig;
-      AsyncFaultShim shim(&rig.db_dev);
       Scenario scenario = base_scenario;
       std::vector<Oid> emps;
       {
         Database::Options options;
         options.buffer_pool_frames = 512;
-        options.device = &shim;
+        options.device = &rig.db_dev;
         options.wal_device = &rig.log_dev;
         options.enable_wal = true;
         auto db_or = Database::Open(options);
@@ -536,7 +507,7 @@ TEST(WalCrashTest, CrashMidAsyncFlushRecoversClean) {
 
       Database::Options options;
       options.buffer_pool_frames = 512;
-      options.device = &shim;
+      options.device = &rig.db_dev;
       options.wal_device = &rig.log_dev;
       options.enable_wal = true;
       auto db_or = Database::Open(options);
