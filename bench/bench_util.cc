@@ -29,7 +29,8 @@ uint64_t NowNs() {
 }
 }  // namespace
 
-Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options) {
+Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options,
+                                         Database::Options db_options) {
   ModelWorkload workload;
   workload.s_count = options.s_count;
   workload.f = options.f;
@@ -37,16 +38,12 @@ Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options) {
   workload.strategy = options.strategy;
   workload.inline_threshold = options.inline_threshold;
 
-  Database::Options db_options;
   db_options.buffer_pool_frames = options.pool_frames;
-  db_options.read_ahead_window = options.read_ahead_window;
+  db_options.read_ahead = options.read_ahead;
   db_options.file_path = options.file_path;
   db_options.storage_backend = options.storage_backend;
   db_options.o_direct = options.o_direct;
   db_options.worker_threads = options.worker_threads;
-  db_options.enable_telemetry = options.enable_telemetry;
-  db_options.slow_query_ns = options.slow_query_ns;
-  db_options.slow_query_hook = options.slow_query_hook;
   FIELDREP_ASSIGN_OR_RETURN(workload.db, Database::Open(db_options));
   Database& db = *workload.db;
 
@@ -328,10 +325,12 @@ std::string ConsumeJsonFlag(int* argc, char** argv,
   return "";
 }
 
-uint32_t ConsumeWindowFlag(int* argc, char** argv, uint32_t fallback) {
+uint32_t ConsumeUintFlag(int* argc, char** argv, const char* prefix,
+                         uint32_t fallback) {
+  const size_t len = std::strlen(prefix);
   for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--window=", 9) == 0) {
-      uint32_t value = static_cast<uint32_t>(std::atoi(argv[i] + 9));
+    if (std::strncmp(argv[i], prefix, len) == 0) {
+      uint32_t value = static_cast<uint32_t>(std::atoi(argv[i] + len));
       RemoveArg(argc, argv, i);
       return value;
     }

@@ -46,10 +46,9 @@ struct WorkloadOptions {
   uint32_t inline_threshold = 1;
   size_t pool_frames = 32768;
   uint64_t seed = 7;
-  /// Scan read-ahead window in pages (0 disables prefetching). Changes
-  /// physical I/O scheduling only; the logical counters MeasureQueryCosts
-  /// reports are identical for any window.
-  uint32_t read_ahead_window = kDefaultReadAheadWindow;
+  /// Read-ahead on or off. Changes physical I/O scheduling only; the
+  /// logical counters MeasureQueryCosts reports are identical either way.
+  bool read_ahead = true;
   /// Backing file for the database; empty keeps the in-memory device.
   std::string file_path;
   /// Device implementation for file-backed workloads (ignored when
@@ -59,20 +58,18 @@ struct WorkloadOptions {
   bool o_direct = false;
   /// Worker threads for parallel read execution (1 = serial engine).
   size_t worker_threads = 1;
-  /// Telemetry configuration, forwarded to Database::Options. The
-  /// equivalence suite builds identical workloads with tracing armed and
-  /// with telemetry off and asserts identical logical I/O.
-  bool enable_telemetry = true;
-  uint64_t slow_query_ns = 0;
-  std::function<void(const QueryTrace&)> slow_query_hook;
 };
 
 /// Builds the workload database: populates S, populates R with either
 /// random (unclustered keys) or sequential key order, assigns every R
 /// object a uniformly random sref (R and S relatively unclustered,
 /// Section 6.2), creates the clause indexes, and sets up replication per
-/// the strategy.
-Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options);
+/// the strategy. `db_options` supplies the engine settings the workload
+/// does not set itself (telemetry, slow-query log): the telemetry
+/// equivalence suite builds identical workloads with tracing armed and
+/// with telemetry off.
+Result<ModelWorkload> BuildModelWorkload(const WorkloadOptions& options,
+                                         Database::Options db_options = {});
 
 /// One measured query pair (averaged over `trials` random clause ranges):
 /// read selects fr*|R| R objects and projects sref.repfield into a 100-byte
@@ -138,9 +135,10 @@ class BenchJson {
 std::string ConsumeJsonFlag(int* argc, char** argv,
                             const std::string& bench_name);
 
-/// Recognizes and removes `--window=N`, returning N (or `fallback` when
-/// the flag is absent).
-uint32_t ConsumeWindowFlag(int* argc, char** argv, uint32_t fallback);
+/// Recognizes and removes `<prefix>N` (e.g. "--window=" or
+/// "--read-ahead="), returning N (or `fallback` when the flag is absent).
+uint32_t ConsumeUintFlag(int* argc, char** argv, const char* prefix,
+                         uint32_t fallback);
 
 /// Recognizes and removes `--threads=N`, returning N clamped to >= 1 (or
 /// `fallback` when the flag is absent).

@@ -23,7 +23,7 @@
 // since concurrent writers legitimately perturb page traffic.
 //
 // Usage: concurrent_read [s_count] [queries_per_step]
-//                        [--threads=N] [--window=W] [--mixed[=W]]
+//                        [--threads=N] [--read-ahead=0|1] [--mixed[=W]]
 //                        [--json[=path]]
 // --threads adds one extra ladder step (e.g. --threads=16).
 
@@ -54,7 +54,7 @@ uint64_t NowNs() {
 /// R, so every write transaction X-locks both sets). Readers never touch
 /// the lock table; the interesting numbers are how little read throughput
 /// drops and that all writer/writer conflicts land on the S/R locks.
-int RunMixed(uint32_t s_count, int queries, int writers, uint32_t window,
+int RunMixed(uint32_t s_count, int queries, int writers, bool read_ahead,
              const std::string& json_path) {
   std::printf(
       "== Mixed read/write: 2 readers vs %d writer%s on the replicated "
@@ -64,7 +64,7 @@ int RunMixed(uint32_t s_count, int queries, int writers, uint32_t window,
   options.s_count = s_count;
   options.f = 5;
   options.strategy = ModelStrategy::kInPlace;
-  options.read_ahead_window = window;
+  options.read_ahead = read_ahead;
   auto workload = BuildModelWorkload(options);
   if (!workload.ok()) {
     std::printf("build failed: %s\n", workload.status().ToString().c_str());
@@ -195,7 +195,7 @@ int RunMixed(uint32_t s_count, int queries, int writers, uint32_t window,
   return 0;
 }
 
-int Run(uint32_t s_count, int queries, size_t extra_threads, uint32_t window,
+int Run(uint32_t s_count, int queries, size_t extra_threads, bool read_ahead,
         const std::string& json_path) {
   std::printf(
       "== Concurrent read throughput: one warm database, worker ladder ==\n");
@@ -203,7 +203,7 @@ int Run(uint32_t s_count, int queries, size_t extra_threads, uint32_t window,
   options.s_count = s_count;
   options.f = 5;
   options.strategy = ModelStrategy::kInPlace;
-  options.read_ahead_window = window;
+  options.read_ahead = read_ahead;
   auto workload = BuildModelWorkload(options);
   if (!workload.ok()) {
     std::printf("build failed: %s\n", workload.status().ToString().c_str());
@@ -229,7 +229,7 @@ int Run(uint32_t s_count, int queries, size_t extra_threads, uint32_t window,
   json.Add("s_count", s_count);
   json.Add("f", options.f);
   json.Add("queries_per_step", queries);
-  json.Add("read_ahead_window", window);
+  json.Add("read_ahead", read_ahead);
   json.Add("hw_concurrency", hw);
 
   // Warm: one full pass leaves R, the index, and the replica bytes (all
@@ -330,8 +330,8 @@ int Run(uint32_t s_count, int queries, size_t extra_threads, uint32_t window,
 int main(int argc, char** argv) {
   std::string json_path =
       fieldrep::bench::ConsumeJsonFlag(&argc, argv, "concurrent_read");
-  uint32_t window = fieldrep::bench::ConsumeWindowFlag(
-      &argc, argv, fieldrep::kDefaultReadAheadWindow);
+  bool read_ahead =
+      fieldrep::bench::ConsumeUintFlag(&argc, argv, "--read-ahead=", 1) != 0;
   size_t threads = fieldrep::bench::ConsumeThreadsFlag(&argc, argv, 1);
   int mixed_writers = 0;  // 0 = read-only ladder (default mode)
   for (int i = 1; i < argc; ++i) {
@@ -352,8 +352,9 @@ int main(int argc, char** argv) {
       argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 2000;
   int queries = argc > 2 ? std::atoi(argv[2]) : 20;
   if (mixed_writers > 0) {
-    return fieldrep::bench::RunMixed(s_count, queries, mixed_writers, window,
-                                     json_path);
+    return fieldrep::bench::RunMixed(s_count, queries, mixed_writers,
+                                     read_ahead, json_path);
   }
-  return fieldrep::bench::Run(s_count, queries, threads, window, json_path);
+  return fieldrep::bench::Run(s_count, queries, threads, read_ahead,
+                              json_path);
 }

@@ -31,7 +31,7 @@ std::string KeySafe(const char* name) {
   return out;
 }
 
-void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
+void RunSetting(bool clustered, uint32_t s_count, int trials, bool read_ahead,
                 size_t threads, const DeviceChoice& device, BenchJson* json) {
   const double fr = 0.005;
   const double fs = 0.005;
@@ -54,7 +54,7 @@ void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
       options.f = f;
       options.clustered = clustered;
       options.strategy = strategy;
-      options.read_ahead_window = window;
+      options.read_ahead = read_ahead;
       options.worker_threads = threads;
       if (device.given) {
         // --device selects a real file-backed device; each cell gets a
@@ -143,7 +143,7 @@ void RunSetting(bool clustered, uint32_t s_count, int trials, uint32_t window,
       crossover);
 }
 
-void Run(uint32_t s_count, int trials, uint32_t window, size_t threads,
+void Run(uint32_t s_count, int trials, bool read_ahead, size_t threads,
          const DeviceChoice& device, const std::string& json_path) {
   std::printf(
       "== Empirical validation: engine-measured page I/O vs the Section 6 "
@@ -153,12 +153,12 @@ void Run(uint32_t s_count, int trials, uint32_t window, size_t threads,
   if (json_ptr != nullptr) {
     json.Add("s_count", s_count);
     json.Add("trials", trials);
-    json.Add("read_ahead_window", window);
+    json.Add("read_ahead", read_ahead);
     json.Add("threads", static_cast<double>(threads));
   }
-  RunSetting(/*clustered=*/false, s_count, trials, window, threads, device,
+  RunSetting(/*clustered=*/false, s_count, trials, read_ahead, threads, device,
              json_ptr);
-  RunSetting(/*clustered=*/true, s_count, trials, window, threads, device,
+  RunSetting(/*clustered=*/true, s_count, trials, read_ahead, threads, device,
              json_ptr);
   std::printf(
       "Expected shape (the paper's findings at engine level): in-place "
@@ -181,13 +181,14 @@ void Run(uint32_t s_count, int trials, uint32_t window, size_t threads,
 int main(int argc, char** argv) {
   std::string json_path =
       fieldrep::bench::ConsumeJsonFlag(&argc, argv, "empirical_io");
-  uint32_t window = fieldrep::bench::ConsumeWindowFlag(
-      &argc, argv, fieldrep::kDefaultReadAheadWindow);
+  bool read_ahead =
+      fieldrep::bench::ConsumeUintFlag(&argc, argv, "--read-ahead=", 1) != 0;
   size_t threads = fieldrep::bench::ConsumeThreadsFlag(&argc, argv, 1);
   fieldrep::bench::DeviceChoice device =
       fieldrep::bench::ConsumeDeviceFlag(&argc, argv);
   uint32_t s_count = argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 2000;
   int trials = argc > 2 ? std::atoi(argv[2]) : 3;
-  fieldrep::bench::Run(s_count, trials, window, threads, device, json_path);
+  fieldrep::bench::Run(s_count, trials, read_ahead, threads, device,
+                       json_path);
   return 0;
 }

@@ -1,8 +1,9 @@
 // Larger-than-memory scale bench (DESIGN.md §15): builds a replicated
 // R -> S database far bigger than the buffer pool, then drives zipfian
-// point reads (batched through the prefetch path) and zipfian updates of
-// the replicated field (each one fans out to its f replicas), measuring
-// throughput, per-op latency percentiles, and read/write amplification.
+// point reads (announced in batches through the pool's read-ahead) and
+// zipfian updates of the replicated field (each one fans out to its f
+// replicas), measuring throughput, per-op latency percentiles, and
+// read/write amplification.
 //
 // This is the workload the async io_uring backend exists for: at pool =
 // 1-10% of the data, almost every batch misses and the device sees deep
@@ -11,15 +12,16 @@
 // on the same preset.
 //
 // The *logical* I/O counters in the JSON (fetches/hits/disk_reads/
-// disk_writes) are deterministic for a given preset + seed and identical
-// across devices and windows (the pool's charge-on-first-fetch rule), so
+// disk_writes) are deterministic for a given preset + seed + window and
+// identical across devices (the pool's charge-on-first-fetch rule), so
 // CI compares them against the committed BENCH_scale_io.json seed.
 //
 // Presets: --preset=ci (~30k objects, seconds), --preset=default (~250k),
 // --preset=full (10M objects, needs ~2 GiB of disk and a long build).
 // Flags: --pool=PCT (pool as % of data pages, default 5), --zipf=THETA
-// (default 0.99), --window=N (prefetch batch, default 16), --device=...,
-// --reads=N, --updates=N, --json[=PATH].
+// (default 0.99), --window=N (point reads announced to the read-ahead per
+// batch, default 16; 0 reads on demand), --device=..., --reads=N,
+// --updates=N, --json[=PATH].
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +35,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/strings.h"
+#include "storage/read_ahead.h"
 
 namespace fieldrep::bench {
 namespace {
@@ -127,7 +130,7 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
   build.f = preset.f;
   build.strategy = ModelStrategy::kInPlace;  // updates fan out to replicas
   build.pool_frames = 65536;
-  build.read_ahead_window = window;
+  build.read_ahead = window > 0;
   build.file_path = path;
   build.storage_backend = device.backend;
   build.o_direct = device.o_direct;
@@ -152,7 +155,7 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
   reopen.file_path = path;
   reopen.storage_backend = device.backend;
   reopen.o_direct = device.o_direct;
-  reopen.read_ahead_window = window;
+  reopen.read_ahead = window > 0;
   auto opened = Database::Open(reopen);
   if (!opened.ok()) {
     std::printf("reopen failed: %s\n", opened.status().ToString().c_str());
@@ -199,20 +202,21 @@ int Run(const Preset& preset, uint32_t pool_pct, double theta, uint32_t window,
       return 1;
     }
     const size_t batch = window == 0 ? 1 : window;
-    std::vector<Oid> prefetch_batch;
+    std::vector<Oid> read_batch;
     uint64_t phase_start = NowNs();
     for (uint64_t i = 0; i < reads;) {
       size_t n = static_cast<size_t>(
           std::min<uint64_t>(batch, reads - i));
-      prefetch_batch.clear();
+      read_batch.clear();
       for (size_t j = 0; j < n; ++j) {
-        prefetch_batch.push_back(r_oids[zipf.Next(&rng)]);
+        read_batch.push_back(r_oids[zipf.Next(&rng)]);
       }
-      if (window > 0) (void)db.pool().PrefetchOidPages(prefetch_batch);
+      ReadAheadCursor read_ahead(&db.pool(), read_batch);
       for (size_t j = 0; j < n; ++j) {
+        read_ahead.Advance(j);
         Object object;
         uint64_t t0 = NowNs();
-        s = db.Get("R", prefetch_batch[j], &object);
+        s = db.Get("R", read_batch[j], &object);
         lat.push_back(NowNs() - t0);
         if (!s.ok()) {
           std::printf("read failed: %s\n", s.ToString().c_str());
@@ -327,7 +331,8 @@ int main(int argc, char** argv) {
   using fieldrep::bench::kPresets;
   std::string json_path =
       fieldrep::bench::ConsumeJsonFlag(&argc, argv, "scale_io");
-  uint32_t window = fieldrep::bench::ConsumeWindowFlag(&argc, argv, 16);
+  uint32_t window =
+      fieldrep::bench::ConsumeUintFlag(&argc, argv, "--window=", 16);
   fieldrep::bench::DeviceChoice device =
       fieldrep::bench::ConsumeDeviceFlag(&argc, argv);
 

@@ -81,8 +81,8 @@ grep -q "^fieldrep_lock_held " "$WORK_DIR/metrics.prom"
 echo "== live metrics scrape (text) =="
 "$STATS" --connect "unix:$SOCKET" > "$WORK_DIR/metrics.txt"
 grep -q "fieldrep_lock_wait_ns_total" "$WORK_DIR/metrics.txt"
-# Read-ahead knobs (DESIGN.md §9): the scan window and the pool budget.
-grep -q "fieldrep_pool_read_ahead_window" "$WORK_DIR/metrics.txt"
+# Read-ahead settings (DESIGN.md §9): the on/off switch and the pool budget.
+grep -q "fieldrep_pool_read_ahead_enabled" "$WORK_DIR/metrics.txt"
 grep -q "fieldrep_pool_read_ahead_budget" "$WORK_DIR/metrics.txt"
 
 echo "== live metrics scrape (json) =="
@@ -97,7 +97,7 @@ for required in (
     "fieldrep_pool_fetches_total",
     "fieldrep_pool_read_batches_total",
     "fieldrep_pool_write_batches_total",
-    "fieldrep_pool_read_ahead_window",
+    "fieldrep_pool_read_ahead_enabled",
     "fieldrep_pool_read_ahead_budget",
     "fieldrep_net_sessions_total",
     "fieldrep_net_requests_total",

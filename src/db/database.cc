@@ -123,7 +123,7 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
   size_t frames = options.buffer_pool_frames == 0 ? 1
                                                   : options.buffer_pool_frames;
   db->pool_ = std::make_unique<BufferPool>(db->device_, frames);
-  db->pool_->set_read_ahead_window(options.read_ahead_window);
+  db->pool_->set_read_ahead(options.read_ahead);
   Database* raw = db.get();
   if (options.enable_wal) {
     WalManager::Options wal_options;
@@ -226,7 +226,22 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
   }
   // Seed the committed-state registry with the opening state.
   db->RefreshAllCommitted();
+  db->open_complete_ = true;
   return db;
+}
+
+Database::~Database() {
+  if (!open_complete_ || wal_ == nullptr || wal_->broken() ||
+      InSessionTransaction()) {
+    return;
+  }
+  Status s = Checkpoint();
+  if (!s.ok()) {
+    std::fprintf(stderr,
+                 "fieldrep: checkpoint at close failed, the next open "
+                 "replays the log: %s\n",
+                 s.ToString().c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

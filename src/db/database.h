@@ -104,11 +104,12 @@ class Database : public SetProvider {
     /// Checkpoint() calls truncate the log).
     uint64_t wal_checkpoint_threshold_bytes = 0;
 
-    /// Scan read-ahead window in pages (0 disables prefetching entirely).
-    /// Read-ahead changes only *physical* I/O scheduling; the logical
-    /// counters (IoStats::disk_reads / disk_writes) are identical for any
-    /// window, so the paper's cost-model measurements are unaffected.
-    uint32_t read_ahead_window = kDefaultReadAheadWindow;
+    /// Read-ahead (DESIGN.md §9): query stages, record-file scans and
+    /// B+-tree leaf walks read their upcoming pages ahead, within the
+    /// pool-wide budget. It changes only *physical* I/O scheduling; the
+    /// logical counters (IoStats::disk_reads / disk_writes) are identical
+    /// on or off, so the paper's cost-model measurements are unaffected.
+    bool read_ahead = true;
 
     /// Worker threads for parallel read-query execution (DESIGN.md §10).
     /// 1 (the default) runs the original serial engine — no pool is
@@ -137,7 +138,12 @@ class Database : public SetProvider {
   /// Opens a database. Never returns null on OK status.
   static Result<std::unique_ptr<Database>> Open(const Options& options);
 
-  ~Database() override = default;
+  /// A clean close of a WAL database checkpoints (DESIGN.md §7): queued
+  /// deferred propagations are applied and the log is truncated, so the
+  /// next Open replays nothing. Skipped when the log is broken or a
+  /// session transaction is still open; a failed checkpoint is reported
+  /// on stderr and leaves the log for the next Open to replay.
+  ~Database() override;
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
@@ -447,6 +453,9 @@ class Database : public SetProvider {
   LockTable lock_table_;
   /// Explicit session transactions currently open (any thread).
   std::atomic<int> open_sessions_{0};
+  /// Set when Open completed; a database that failed to open is never
+  /// checkpointed at close.
+  bool open_complete_ = false;
   /// Guards the committed-state registry: the per-file metadata images of
   /// the most recent *committed* transaction touching each file. The
   /// WAL precommit hook encodes checkpoint blobs from these (not from

@@ -29,6 +29,9 @@ constexpr uint32_t kLeafMax =
     kUserBytesPerPage / kLeafEntryBytes - 1;  // 252
 constexpr uint32_t kInternalMax =
     (kUserBytesPerPage - 4) / kInternalEntryBytes - 1;  // 201
+// Leaf pages a range scan reads ahead once the chain runs on to the
+// physically next page (ScanRange).
+constexpr uint32_t kLeafReadAheadRun = 16;
 
 uint16_t NodeType(const uint8_t* p) { return DecodeU16(p); }
 void SetNodeType(uint8_t* p, PageType t) {
@@ -324,16 +327,16 @@ Status BTree::ScanRange(int64_t lo, int64_t hi,
   FIELDREP_RETURN_IF_ERROR(FindLeaf(lo, 0, &leaf));
   // Read-ahead along the leaf chain. Bulk-loaded trees allocate leaves in
   // mostly ascending page order (rightmost splits), so once the chain
-  // advances to the physically next page we speculatively batch-read a
-  // window beyond it. Prefetched pages stay logically uncharged until
-  // fetched, so a misprediction (or an early scan stop) costs only
-  // physical I/O — never a page of the paper's cost unit.
-  const uint32_t window = pool_->read_ahead_window();
-  PageId prefetched_until = 0;  // highest page id already hinted
+  // advances to the physically next page we speculatively read a run
+  // beyond it, within the pool's read-ahead budget. Read-ahead pages stay
+  // logically uncharged until fetched, so a misprediction (or an early
+  // scan stop) costs only physical I/O — never a page of the paper's cost
+  // unit.
+  PageId read_ahead_until = 0;  // pages below this were already announced
   std::vector<std::pair<int64_t, uint64_t>> entries;
   while (leaf != kInvalidPageId) {
     // Collect the leaf's entries under a shared latch, then run the
-    // callbacks (and the prefetch, which may block on victim writeback)
+    // callbacks (and the read-ahead, which may block on victim writeback)
     // after releasing it: readers never block while holding a latch.
     entries.clear();
     bool done = false;
@@ -359,12 +362,13 @@ Status BTree::ScanRange(int64_t lo, int64_t hi,
       if (!fn(key, Oid::FromPacked(val))) return Status::OK();
     }
     if (done) return Status::OK();
-    if (window > 0 && next != kInvalidPageId && next == leaf + 1 &&
-        next + window > prefetched_until) {
-      std::vector<PageId> ahead(window);
-      for (uint32_t i = 0; i < window; ++i) ahead[i] = next + i;
-      FIELDREP_RETURN_IF_ERROR(pool_->Prefetch(ahead));
-      prefetched_until = next + window;
+    if (next != kInvalidPageId && next == leaf + 1 &&
+        next + kLeafReadAheadRun > read_ahead_until) {
+      std::vector<PageId> ahead(kLeafReadAheadRun);
+      for (uint32_t i = 0; i < kLeafReadAheadRun; ++i) ahead[i] = next + i;
+      size_t covered = 0;
+      FIELDREP_RETURN_IF_ERROR(pool_->ReadAhead(ahead, &covered));
+      read_ahead_until = next + static_cast<PageId>(covered);
     }
     leaf = next;
   }

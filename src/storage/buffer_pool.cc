@@ -181,7 +181,7 @@ Status BufferPool::FetchPage(PageId page_id, PageGuard* guard,
       if (ClearReadAhead(frame)) {
         // First logical access of a prefetched page: charge the read the
         // caller would have performed without read-ahead, so the logical
-        // counters are independent of the read-ahead window.
+        // counters are the same with read-ahead on or off.
         stats_.disk_reads.fetch_add(1, kRelaxed);
         shard.misses.fetch_add(1, kRelaxed);
       } else {
@@ -317,40 +317,11 @@ Status BufferPool::NewPage(PageGuard* guard) {
   return Status::OK();
 }
 
-Status BufferPool::Prefetch(std::span<const PageId> page_ids) {
-  if (read_ahead_window_.load(kRelaxed) == 0 || page_ids.empty()) {
-    return Status::OK();
-  }
-
-  // Distinct, in-range ids in ascending order (the device coalesces
-  // contiguous runs, so sorted order maximises run length). Residency is
-  // decided per shard at claim time below.
-  std::vector<PageId> candidates(page_ids.begin(), page_ids.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  const PageId device_pages = device_->page_count();
-  std::erase_if(candidates, [&](PageId id) { return id >= device_pages; });
-  if (candidates.empty()) return Status::OK();
-
-  // Warm-path fast-out: drop ids that are already resident (or in
-  // flight) before touching the global victim mutex, so a fully-resident
-  // window costs only per-shard lookups and concurrent readers' prefetch
-  // probes never serialize on victim_mutex_. Racy by design — the claim
-  // loop below re-checks under the shard lock before claiming.
-  std::erase_if(candidates, [&](PageId id) {
-    Shard& shard = ShardFor(id);
-    MutexLock lock(shard.mu);
-    return shard.table.count(id) != 0;
-  });
-  return ReadAheadBatch(candidates);
-}
-
 Status BufferPool::ReadAhead(std::span<const PageId> pages, size_t* covered) {
   *covered = 0;
   const size_t budget = read_ahead_budget();
   const size_t pending = read_ahead_pending_.load(kRelaxed);
-  if (read_ahead_window_.load(kRelaxed) == 0 || pending >= budget) {
+  if (!read_ahead_.load(kRelaxed) || pending >= budget) {
     return Status::OK();
   }
   // Walk the stage's list in consumption order until the batch fills the
@@ -378,13 +349,18 @@ Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
   // Claim an in-flight table slot and a victim frame per id, with the
   // clock-sweep decisions an on-demand miss would make. The victim's pin
   // keeps later sweeps in this batch (and concurrent ones once
-  // victim_mutex_ drops) from handing the frame out twice.
+  // victim_mutex_ drops) from handing the frame out twice. Each claim
+  // reserves one unit of the read-ahead budget here, under the victim
+  // mutex, the only place read_ahead_pending_ grows: concurrent batches
+  // see each other's reservations, so together they stay within budget.
+  const size_t budget = read_ahead_budget();
   std::vector<PrefetchClaim> ready;    // free or clean frame: read at once
   std::vector<PrefetchClaim> waiting;  // frame still holds a dirty victim
   std::vector<size_t> victims;
   {
     MutexLock victim_lock(victim_mutex_);
     for (PageId id : ids) {
+      if (read_ahead_pending_.load(kRelaxed) >= budget) break;
       Shard& shard = ShardFor(id);
       {
         MutexLock lock(shard.mu);
@@ -401,6 +377,7 @@ Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
         shard.cv.notify_all();
         break;  // every frame is pinned: shrink the batch
       }
+      read_ahead_pending_.fetch_add(1, kRelaxed);
       if (needs_writeback) {
         waiting.push_back(
             {id, frame_index, frames_[frame_index].page_id.load(kRelaxed)});
@@ -430,7 +407,10 @@ Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
     if (written[i]) {
       evicted.push_back({claim.page_id, claim.frame_index});
     } else {
-      AbandonFill(claim.page_id, kFrameInFlight);  // victim stays resident
+      // The victim stays resident; its claim never reads, so it returns
+      // its budget reservation.
+      AbandonFill(claim.page_id, kFrameInFlight);
+      read_ahead_pending_.fetch_sub(1, kRelaxed);
     }
   }
   SubmitReadAhead(std::move(evicted));
@@ -438,8 +418,9 @@ Status BufferPool::ReadAheadBatch(std::span<const PageId> ids) {
 }
 
 void BufferPool::MarkReadAhead(Frame& frame) {
-  if (!frame.prefetched.exchange(true, kRelaxed)) {
-    read_ahead_pending_.fetch_add(1, kRelaxed);
+  // The claim already counted this frame in read_ahead_pending_.
+  if (frame.prefetched.exchange(true, kRelaxed)) {
+    read_ahead_pending_.fetch_sub(1, kRelaxed);
   }
 }
 
@@ -511,18 +492,6 @@ void BufferPool::InstallPrefetchedPages(std::span<const PrefetchClaim> claims,
     }
     shard.cv.notify_all();
   }
-}
-
-Status BufferPool::PrefetchOidPages(std::span<const Oid> oids) {
-  if (read_ahead_window_.load(kRelaxed) == 0 || oids.empty()) {
-    return Status::OK();
-  }
-  std::vector<PageId> pages;
-  pages.reserve(oids.size());
-  for (const Oid& oid : oids) {
-    if (oid.valid()) pages.push_back(oid.page_id);
-  }
-  return Prefetch(pages);
 }
 
 void BufferPool::AbandonFill(PageId page_id, size_t frame_index) {
@@ -996,10 +965,8 @@ void BufferPool::CollectMetrics(std::vector<MetricSample>* out) const {
       MetricKind::kGauge, static_cast<double>(pages_cached()));
   add("fieldrep_pool_pinned_pages", "Sum of frame pin counts.",
       MetricKind::kGauge, static_cast<double>(total_pins()));
-  add("fieldrep_pool_read_ahead_window",
-      "Sequential-scan read-ahead run length (0 = read-ahead off).",
-      MetricKind::kGauge,
-      static_cast<double>(read_ahead_window_.load(kRelaxed)));
+  add("fieldrep_pool_read_ahead_enabled", "1 when read-ahead is on, else 0.",
+      MetricKind::kGauge, read_ahead_.load(kRelaxed) ? 1.0 : 0.0);
   add("fieldrep_pool_read_ahead_budget",
       "Pool-wide bound on pages read ahead but not yet consumed.",
       MetricKind::kGauge, static_cast<double>(read_ahead_budget()));

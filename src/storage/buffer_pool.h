@@ -11,7 +11,6 @@
 #include "common/annotated_mutex.h"
 #include "common/status.h"
 #include "storage/io_stats.h"
-#include "storage/oid.h"
 #include "storage/page.h"
 #include "storage/storage_device.h"
 
@@ -19,12 +18,6 @@ namespace fieldrep {
 
 class BufferPool;
 struct MetricSample;
-
-/// Default read-ahead window: the run length of speculative sequential
-/// read-ahead (record-file scans, B+-tree leaf chains). Any nonzero value
-/// also enables stage read-ahead (ReadAheadCursor); 0 disables read-ahead
-/// everywhere and restores strictly on-demand I/O.
-constexpr uint32_t kDefaultReadAheadWindow = 16;
 
 /// How a FetchPage caller intends to use the page. Shared fetches take the
 /// frame's reader latch and MUST NOT mutate the page (MarkDirty asserts);
@@ -123,19 +116,20 @@ class PageGuard {
 /// quantity the paper's cost model predicts. Benchmarks call
 /// EvictAll() + ResetStats() before each query to measure it cold.
 ///
-/// Read-ahead accounting rule: Prefetch() performs *physical* reads
-/// (counted as `batched_reads`/`bytes_read`) and installs the pages
-/// unpinned and uncharged; the first FetchPage of a prefetched page charges
-/// one `disk_reads` (not a `hits`), and a prefetched page that is never
-/// fetched is never charged. Logical counters are therefore byte-identical
-/// with read-ahead on or off.
+/// Read-ahead: ReadAhead() is the pool's one speculative-read entry point
+/// (stage cursors, record-file scans, B+-tree leaf chains). It performs
+/// *physical* reads (counted as `batched_reads`/`bytes_read`) and installs
+/// the pages unpinned and uncharged; the first FetchPage of a read-ahead
+/// page charges one `disk_reads` (not a `hits`), and a page read ahead but
+/// never fetched is never charged. Logical counters are therefore
+/// byte-identical with read-ahead on or off.
 ///
 /// Read-ahead budget: pages read ahead but not yet consumed (the frames
 /// whose `prefetched` mark is set, in flight or installed) are counted
 /// pool-wide. ReadAhead() announces pages only while that count is below
 /// read_ahead_budget(), a quarter of the frames, so concurrent stages,
-/// parallel workers and server sessions share one bound and read-ahead
-/// can never crowd the pages a query is using out of the pool.
+/// scans, parallel workers and server sessions share one bound and
+/// read-ahead can never crowd the pages a query is using out of the pool.
 ///
 /// Thread safety (DESIGN.md §10): the page table is sharded (power-of-two
 /// shard count, one mutex + condvar each), every frame carries a
@@ -181,13 +175,14 @@ class BufferPool {
   /// Allocates a fresh zeroed page on the device and pins it (exclusive).
   Status NewPage(PageGuard* guard);
 
-  /// Batch-reads the non-resident pages of `page_ids` into victim frames
-  /// through one ReadPagesAsync call, leaving them unpinned and logically
-  /// uncharged (see the accounting rule above). A scheduling hint, not a
-  /// correctness operation:
-  ///   - no-op when the read-ahead window is 0;
-  ///   - ids that are resident, in flight, duplicated, or unallocated are
-  ///     skipped;
+  /// Reads a page list ahead, in consumption order, within the pool-wide
+  /// budget (see the class comment). Walks `pages` from the front,
+  /// skipping invalid, unallocated, resident, in-flight and repeated ids,
+  /// until the non-resident ones fill the budget's remaining room, and
+  /// reads those in one batch through ReadPagesAsync. Stores in
+  /// `*covered` how many entries of `pages` the walk got through (0 when
+  /// the budget is used up or read-ahead is off). A scheduling hint, not
+  /// a correctness operation:
   ///   - victim selection honours the observer's no-steal veto; the dirty
   ///     victims of one batch are written back together, as one ordered
   ///     batch through FlushFramesOrdered (BeforePageFlush per page), and
@@ -199,22 +194,10 @@ class BufferPool {
   ///     set_verify_checksums), is not installed: its claim is abandoned
   ///     and the next FetchPage re-reads it on demand and reports the
   ///     error itself.
-  /// Only victim write-back errors are returned. Prefetch does not wait for
-  /// the reads: the completion (inline, or on the device's thread) installs
-  /// the frames, and concurrent fetchers of an in-flight page wait on the
-  /// shard condvar exactly as for an on-demand miss.
-  Status Prefetch(std::span<const PageId> page_ids);
-
-  /// Prefetches the distinct pages addressed by `oids` (in sorted page
-  /// order). Convenience wrapper over Prefetch for OID-batch hot paths.
-  Status PrefetchOidPages(std::span<const Oid> oids);
-
-  /// Budgeted Prefetch for a stage's page list in consumption order
-  /// (ReadAheadCursor's primitive): walks `pages` from the front,
-  /// skipping invalid, unallocated, resident and repeated ids, and reads
-  /// the rest ahead in one batch until the pool-wide read-ahead budget is
-  /// used up. Stores in `*covered` how many entries of `pages` the walk
-  /// got through (0 when the budget is exhausted or read-ahead is off).
+  /// Only victim write-back errors are returned. ReadAhead does not wait
+  /// for the reads: the completion (inline, or on the device's thread)
+  /// installs the frames, and concurrent fetchers of an in-flight page
+  /// wait on the shard condvar exactly as for an on-demand miss.
   Status ReadAhead(std::span<const PageId> pages, size_t* covered);
 
   /// Writes all dirty frames back to the device (without unpinning) as one
@@ -254,24 +237,23 @@ class BufferPool {
   /// `out` — the registry-collector hook Database installs.
   void CollectMetrics(std::vector<MetricSample>* out) const;
 
-  /// Read-ahead window: the run length sequential scans (record-file
-  /// page chains, B+-tree leaf chains) speculatively prefetch ahead of
-  /// the scan. 0 disables all read-ahead (every Prefetch and ReadAhead
-  /// call becomes a no-op), restoring strictly on-demand I/O.
-  void set_read_ahead_window(uint32_t window) { read_ahead_window_ = window; }
-  uint32_t read_ahead_window() const { return read_ahead_window_; }
+  /// Read-ahead on (the default) or off. Off makes every ReadAhead call
+  /// a no-op, restoring strictly on-demand I/O: the reference the
+  /// logical-I/O equivalence suites compare against.
+  void set_read_ahead(bool on) { read_ahead_ = on; }
+  bool read_ahead() const { return read_ahead_; }
 
   /// Pool-wide bound on pages read ahead but not yet consumed (see the
   /// class comment): a quarter of the frames.
   size_t read_ahead_budget() const { return capacity_ / 4; }
-  /// Pages currently read ahead and not yet consumed (in flight or
-  /// installed, never fetched).
+  /// Pages currently read ahead and not yet consumed (claimed, in flight
+  /// or installed, never fetched). Never above read_ahead_budget().
   size_t read_ahead_pending() const {
     return read_ahead_pending_.load(std::memory_order_relaxed);
   }
 
   /// Checksum verification on the read paths (on-demand misses and
-  /// prefetch batches). Defaults to on in debug builds and off in release
+  /// read-ahead batches). Defaults to on in debug builds and off in release
   /// — the policy FetchPage has always had; tests flip it on explicitly.
   /// A failing on-demand read returns Corruption; a failing batch-read
   /// page is silently not installed (the on-demand retry reports it).
@@ -337,7 +319,8 @@ class BufferPool {
     /// Read ahead (in flight or installed) and not yet logically charged:
     /// the first FetchPage counts it as a disk_read instead of a hit.
     /// Every transition goes through MarkReadAhead / ClearReadAhead, which
-    /// keep read_ahead_pending_ equal to the number of frames with it set.
+    /// keep read_ahead_pending_ equal to the number of frames with it set
+    /// plus the read-ahead claims not yet submitted.
     std::atomic<bool> prefetched{false};
     /// Write in flight: set under victim_mutex_ by whoever claims the
     /// frame for write-back (an evicting miss or read-ahead, FlushAll),
@@ -395,7 +378,7 @@ class BufferPool {
                             std::vector<bool>* written = nullptr)
       EXCLUDES(victim_mutex_);
 
-  /// One claimed-but-unfilled prefetch page: in-flight marker published
+  /// One claimed-but-unfilled read-ahead page: in-flight marker published
   /// in its shard, victim frame reserved with pin_count 1. When the
   /// victim was dirty, `victim_page` is the page it still holds until
   /// its write-back lands; otherwise kInvalidPageId.
@@ -407,8 +390,7 @@ class BufferPool {
 
   /// Claims victim frames for `ids` (sorted, distinct, pre-filtered for
   /// residency), writes the dirty victims back as one ordered batch, and
-  /// reads the pages into the claimed frames. The shared body of
-  /// Prefetch and ReadAhead.
+  /// reads the pages into the claimed frames (ReadAhead's body).
   Status ReadAheadBatch(std::span<const PageId> ids);
 
   /// Marks the claims' frames read-ahead and hands them to one
@@ -416,8 +398,9 @@ class BufferPool {
   void SubmitReadAhead(std::vector<PrefetchClaim> claims);
 
   /// Read-ahead accounting: set / clear `frame.prefetched`, keeping
-  /// read_ahead_pending_ exact. ClearReadAhead reports whether the mark
-  /// was set (first touch of a read-ahead page).
+  /// read_ahead_pending_ exact (ReadAheadBatch counts a claim when it
+  /// makes it, so MarkReadAhead adds nothing). ClearReadAhead reports
+  /// whether the mark was set (first touch of a read-ahead page).
   void MarkReadAhead(Frame& frame);
   bool ClearReadAhead(Frame& frame);
 
@@ -500,8 +483,9 @@ class BufferPool {
   mutable Mutex async_mu_{LockRank::kLeaf, "pool.async_mu"};
   CondVar async_cv_;
   size_t async_inflight_ GUARDED_BY(async_mu_) = 0;
-  std::atomic<uint32_t> read_ahead_window_{kDefaultReadAheadWindow};
-  /// Frames with `prefetched` set (see Frame::prefetched).
+  std::atomic<bool> read_ahead_{true};
+  /// Frames with `prefetched` set, plus read-ahead claims not yet
+  /// submitted (see Frame::prefetched). Grows only under victim_mutex_.
   std::atomic<size_t> read_ahead_pending_{0};
 #ifndef NDEBUG
   std::atomic<bool> verify_checksums_{true};

@@ -22,7 +22,7 @@ namespace fieldrep {
 ///   disk_reads       pages read from the device (logical)
 ///   disk_writes      pages written to the device (logical)
 ///   disk_syncs       device Sync (fsync) calls
-///   batched_reads    pages physically read via vectored prefetch batches
+///   batched_reads    pages physically read via read-ahead batches
 ///   coalesced_writes pages written inside multi-page contiguous runs
 ///   bytes_read       bytes physically read from the device
 ///   bytes_written    bytes physically written to the device
@@ -58,7 +58,7 @@ namespace fieldrep {
 /// `disk_writes` count *logical* device transfers (buffer misses / dirty
 /// evictions + flushes), `fetches`/`hits` describe cache behaviour.
 ///
-/// Batched I/O (prefetch read-ahead, elevator write-back) is accounted so
+/// Batched I/O (read-ahead, elevator write-back) is accounted so
 /// that the logical counters are unchanged by batching: a prefetched page is
 /// charged to `disk_reads` the first time a caller actually fetches it, and
 /// a prefetched page that is never fetched is never charged. The physical

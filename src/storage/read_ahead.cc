@@ -7,8 +7,8 @@ namespace fieldrep {
 
 void ReadAheadCursor::Advance(size_t i) {
   const size_t at = i - begin_;
-  if (at < next_top_up_ || announced_ >= pages_.size()) return;
   const size_t from = std::max(at, announced_);
+  if (at < next_top_up_ || from >= pages_.size()) return;
   size_t covered = 0;
   (void)pool_->ReadAhead(std::span<const PageId>(pages_).subspan(from),
                          &covered);

@@ -2,6 +2,7 @@
 #define FIELDREP_STORAGE_READ_AHEAD_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -22,8 +23,8 @@ namespace fieldrep {
 ///
 /// Announcing is a scheduling hint: errors are ignored (the consumer's
 /// own fetches report real ones), and charge-on-first-fetch keeps the
-/// logical I/O counters unchanged. With the pool's read-ahead off
-/// (window 0) the cursor does nothing.
+/// logical I/O counters unchanged. With the pool's read-ahead off the
+/// cursor does nothing.
 class ReadAheadCursor {
  public:
   /// Cursor over items [begin, end) of `items`, consumed in that order;
@@ -32,7 +33,7 @@ class ReadAheadCursor {
   ReadAheadCursor(BufferPool* pool, const std::vector<Item>& items,
                   size_t begin, size_t end, OidOf oid_of)
       : pool_(pool), begin_(begin) {
-    if (pool->read_ahead_window() == 0) return;
+    if (!pool->read_ahead()) return;
     pages_.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       const Oid& oid = oid_of(items[i]);
@@ -45,8 +46,16 @@ class ReadAheadCursor {
       : ReadAheadCursor(pool, oids, 0, oids.size(),
                         [](const Oid& oid) -> const Oid& { return oid; }) {}
 
+  /// Cursor over a page list consumed in order (a record file's page
+  /// chain).
+  ReadAheadCursor(BufferPool* pool, std::vector<PageId> pages)
+      : pool_(pool), begin_(0) {
+    if (pool->read_ahead()) pages_ = std::move(pages);
+  }
+
   /// Call before consuming item `i` (an index into the constructor's
-  /// `items`); items are consumed in increasing order.
+  /// `items`); items are consumed in increasing order. Items past the
+  /// end of the list are not announced.
   void Advance(size_t i);
 
  private:

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/strings.h"
+#include "storage/read_ahead.h"
 #include "storage/slotted_page.h"
 
 namespace fieldrep {
@@ -333,29 +335,25 @@ Status RecordFile::Scan(
     const std::function<bool(const Oid&, const std::string&)>& fn) const {
   PageId current = first_page();
   std::string payload;
-  const uint32_t window = pool_->read_ahead_window();
+  // Read ahead the chain pages this file already knows: the cached chain
+  // prefix, copied out so the read-ahead runs without chain_mu_. On the
+  // first scan after reopen the cache is empty, so nothing is announced
+  // (exactly as with read-ahead off), and every later scan batches its
+  // reads.
+  std::vector<PageId> known_chain;
+  if (pool_->read_ahead()) {
+    MutexLock lock(chain_mu_);
+    known_chain = chain_cache_;
+  }
+  ReadAheadCursor read_ahead(pool_, std::move(known_chain));
   size_t pos = 0;  // position of `current` in the chain
-  std::vector<PageId> ahead_pages;
   std::vector<std::pair<Oid, std::string>> page_records;
   while (current != kInvalidPageId) {
     {
       MutexLock lock(chain_mu_);
       NoteChainPage(pos, current);
-      // Read ahead: one window of upcoming chain pages per window of
-      // progress. On the first scan after reopen the cache only reaches
-      // the cursor, so nothing is prefetched — identical to window=0 —
-      // and every later scan batches its reads. Copy the window out so
-      // the prefetch itself runs without chain_mu_.
-      if (window > 0 && pos % window == 0 && pos + 1 < chain_cache_.size()) {
-        size_t ahead = std::min<size_t>(window, chain_cache_.size() - pos - 1);
-        ahead_pages.assign(chain_cache_.begin() + pos + 1,
-                           chain_cache_.begin() + pos + 1 + ahead);
-      }
     }
-    if (!ahead_pages.empty()) {
-      FIELDREP_RETURN_IF_ERROR(pool_->Prefetch(ahead_pages));
-      ahead_pages.clear();
-    }
+    read_ahead.Advance(pos);
     // Collect the page's records under the (shared) latch, then run the
     // callbacks after releasing it: a callback may fetch other pages, and
     // readers must never block while holding a latch.

@@ -297,20 +297,22 @@ TEST(ConcurrencyTest, WriteDuringFlushKeepsPageDirty) {
 // dropped twice.
 TEST(ConcurrencyTest, FlushAllWritesBackAFailedReadAheadVictim) {
   GatedWriteDevice device;
-  BufferPool pool(&device, 1);  // one frame: the read-ahead must evict it
-  PageId victim;
-  PageId other;
-  {
+  // Four frames (a read-ahead budget of one), three of them pinned: the
+  // read-ahead must evict the fourth.
+  BufferPool pool(&device, 4);
+  std::vector<PageId> ids(5);
+  for (PageId& id : ids) {
     PageGuard guard;
     FR_ASSERT_OK(pool.NewPage(&guard));
-    victim = guard.page_id();
+    id = guard.page_id();
   }
-  {
-    PageGuard guard;
-    FR_ASSERT_OK(pool.NewPage(&guard));
-    other = guard.page_id();
-  }
+  const PageId victim = ids[0];
+  const PageId other = ids[1];
   FR_ASSERT_OK(pool.FlushAll());
+  std::vector<PageGuard> pins(3);
+  for (size_t i = 0; i < pins.size(); ++i) {
+    FR_ASSERT_OK(pool.FetchPage(ids[2 + i], &pins[i], LatchMode::kShared));
+  }
   {
     PageGuard guard;
     FR_ASSERT_OK(pool.FetchPage(victim, &guard));
@@ -324,10 +326,13 @@ TEST(ConcurrencyTest, FlushAllWritesBackAFailedReadAheadVictim) {
   device.ScriptNextWrite(victim, /*fail=*/true, &victim_write,
                          &victim_outcome);
   device.ScriptNextWrite(victim, /*fail=*/false, &flush_write);
-  Status prefetch_status;
+  Status read_ahead_status;
   Status flush_status;
-  std::thread reader(
-      [&] { prefetch_status = pool.Prefetch(std::vector<PageId>{other}); });
+  std::thread reader([&] {
+    size_t covered = 0;
+    read_ahead_status =
+        pool.ReadAhead(std::vector<PageId>{other}, &covered);
+  });
   victim_write.WaitReached();  // the read-ahead claimed the victim
   std::thread flusher([&] { flush_status = pool.FlushAll(); });
   // Let FlushAll find the write in flight and wait on it. Were it slower,
@@ -337,7 +342,7 @@ TEST(ConcurrencyTest, FlushAllWritesBackAFailedReadAheadVictim) {
   flush_write.WaitReached();  // FlushAll claimed and staged the page
   victim_outcome.Open();
   reader.join();
-  EXPECT_FALSE(prefetch_status.ok());
+  EXPECT_FALSE(read_ahead_status.ok());
   {
     PageGuard guard;
     Status s = pool.FetchPage(victim, &guard, LatchMode::kShared);
@@ -351,6 +356,7 @@ TEST(ConcurrencyTest, FlushAllWritesBackAFailedReadAheadVictim) {
 
   FR_ASSERT_OK(flush_status);
   EXPECT_TRUE(pool.DirtyPageIds().empty());
+  pins.clear();
   EXPECT_EQ(pool.total_pins(), 0u);
   uint8_t raw[kPageSize];
   FR_ASSERT_OK(device.ReadPage(victim, raw));

@@ -695,10 +695,11 @@ TEST(AsyncWriteBackTest, PoolWithFailedFinalWriteBackDestroysPromptly) {
 
 TEST(AsyncPrefetchTest, CompletionInstallsPagesWithLogicalChargeDeferred) {
   AsyncFailingDevice device;
-  BufferPool pool(&device, 16);
+  BufferPool pool(&device, 32);  // budget 8
   std::vector<PageId> pages = SeedPoolPages(&pool, 5);
 
-  FR_ASSERT_OK(pool.Prefetch(pages));
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
   pool.DrainAsyncIo();  // wait for the completion to install the frames
   EXPECT_EQ(pool.pages_cached(), 5u);
   EXPECT_EQ(pool.stats().read_batches, 1u);
@@ -718,7 +719,8 @@ TEST(AsyncPrefetchTest, FailedCompletionInstallsNothingForThatPage) {
   std::vector<PageId> pages = SeedPoolPages(&pool, 4);
 
   device.FailPage(pages[1]);
-  FR_ASSERT_OK(pool.Prefetch(pages));  // fire-and-forget: no error surface
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));  // no read error surface
   pool.DrainAsyncIo();
   EXPECT_EQ(pool.PeekPage(pages[1]), nullptr);
   EXPECT_NE(pool.PeekPage(pages[0]), nullptr);

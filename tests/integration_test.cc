@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "costmodel/cost_model.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -83,7 +84,7 @@ TEST(IntegrationTest, MeasuredIoMatchesModelDirection) {
   // round-robin neighbour.
   Random rng(42);
   for (int k = 0; k < kS * kF; ++k) {
-    Object emp(0, {Value("e" + std::to_string(k)),
+    Object emp(0, {Value(StringPrintf("e%d", k)),
                    Value(int32_t{20 + k % 50}), Value(int32_t{1000 * k}),
                    Value(fixture.depts[rng.Uniform(kS)])});
     Oid oid;

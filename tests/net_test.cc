@@ -1019,9 +1019,10 @@ TEST(NetCrashTest, CrashMidBatchRecoversPrefixConsistent) {
     for (auto& t : threads) t.join();
     server->Stop();
 
-    // "Reboot": recover over the surviving media.
-    plan.Reset();
+    // "Reboot": the machine goes down with the database, then recovery
+    // runs over the surviving media.
     db.reset();
+    plan.Reset();
     auto recovered_or = Database::Open(options);
     FR_ASSERT_OK(recovered_or.status());
     auto recovered = std::move(recovered_or).value();

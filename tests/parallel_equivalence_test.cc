@@ -30,7 +30,7 @@ RunOutcome RunConfig(Database* db, const ReadQuery& query, size_t threads,
                      bool read_ahead) {
   RunOutcome out;
   FR_EXPECT_OK(db->SetWorkerThreads(threads));
-  db->pool().set_read_ahead_window(read_ahead ? kDefaultReadAheadWindow : 0);
+  db->pool().set_read_ahead(read_ahead);
   FR_EXPECT_OK(db->ColdStart());
   FR_EXPECT_OK(db->Retrieve(query, &out.result));
   out.stats = db->io_stats();

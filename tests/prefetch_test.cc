@@ -1,18 +1,22 @@
 // Read-ahead and elevator write-back suite: the accounting contract
-// (prefetch performs physical batch reads; logical counters are charged
-// on first fetch and are byte-identical with any window), victim-selection
-// safety under the WAL observer's no-steal veto and flush ordering,
-// checksum verification of batch-read pages, and crash behaviour of
-// vectored writes under fault injection.
+// (read-ahead performs physical batch reads; logical counters are charged
+// on first fetch and are byte-identical with read-ahead on or off), the
+// pool-wide read-ahead budget, victim-selection safety under the WAL
+// observer's no-steal veto and flush ordering, checksum verification of
+// batch-read pages, and crash behaviour of vectored writes under fault
+// injection.
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "index/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/checksum.h"
 #include "storage/fault_injecting_device.h"
@@ -43,14 +47,29 @@ std::vector<PageId> SeedPages(BufferPool* pool, int n) {
   return pages;
 }
 
+/// Pins `pages` (shared latches), taking their frames out of victim
+/// selection: the tests that need a handful of candidate victims run a
+/// pool large enough for a read-ahead budget and pin the rest.
+std::vector<PageGuard> PinPages(BufferPool* pool,
+                                std::span<const PageId> pages) {
+  std::vector<PageGuard> guards(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    EXPECT_TRUE(
+        pool->FetchPage(pages[i], &guards[i], LatchMode::kShared).ok());
+  }
+  return guards;
+}
+
 // --- Accounting --------------------------------------------------------------
 
 TEST(PrefetchTest, ChargesLogicalReadOnFirstFetchOnly) {
   MemoryDevice device;
-  BufferPool pool(&device, 16);
+  BufferPool pool(&device, 32);  // budget 8
   std::vector<PageId> pages = SeedPages(&pool, 6);
 
-  FR_ASSERT_OK(pool.Prefetch(pages));
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
+  EXPECT_EQ(covered, 6u);
   // Physical side: one batch of 6 pages; logical side: untouched.
   EXPECT_EQ(pool.stats().batched_reads, 6u);
   EXPECT_EQ(pool.stats().bytes_read, 6u * kPageSize);
@@ -74,17 +93,19 @@ TEST(PrefetchTest, ChargesLogicalReadOnFirstFetchOnly) {
   EXPECT_EQ(pool.stats().hits, 1u);
   guard.Release();
 
-  // Pages prefetched but never fetched are never charged.
+  // Pages read ahead but never fetched are never charged.
   EXPECT_EQ(pool.stats().TotalIo(), 1u);
 }
 
-TEST(PrefetchTest, WindowZeroMakesPrefetchANoOp) {
+TEST(PrefetchTest, ReadAheadOffMakesReadAheadANoOp) {
   MemoryDevice device;
   BufferPool pool(&device, 16);
   std::vector<PageId> pages = SeedPages(&pool, 4);
 
-  pool.set_read_ahead_window(0);
-  FR_ASSERT_OK(pool.Prefetch(pages));
+  pool.set_read_ahead(false);
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
+  EXPECT_EQ(covered, 0u);
   EXPECT_EQ(pool.pages_cached(), 0u);
   EXPECT_EQ(pool.stats().batched_reads, 0u);
   EXPECT_EQ(pool.stats().bytes_read, 0u);
@@ -103,7 +124,9 @@ TEST(PrefetchTest, SkipsResidentDuplicateAndUnallocatedIds) {
                                  pages[1], pages[1],  // duplicate
                                  pages[2],
                                  static_cast<PageId>(9999)};  // unallocated
-  FR_ASSERT_OK(pool.Prefetch(request));
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(request, &covered));
+  EXPECT_EQ(covered, request.size());
   EXPECT_EQ(pool.stats().batched_reads, 2u);  // pages[1] and pages[2] only
   EXPECT_EQ(pool.pages_cached(), 3u);
   EXPECT_EQ(pool.PeekPage(static_cast<PageId>(9999)), nullptr);
@@ -117,7 +140,8 @@ TEST(PrefetchOidTest, PrefetchesDistinctPagesOfOidBatch) {
 
   std::vector<Oid> oids = {Oid(1, pages[0], 0), Oid(1, pages[0], 5),
                            Oid(1, pages[2], 1), Oid::Invalid()};
-  FR_ASSERT_OK(pool.PrefetchOidPages(oids));
+  ReadAheadCursor cursor(&pool, oids);
+  cursor.Advance(0);
   EXPECT_EQ(pool.stats().batched_reads, 2u);
   EXPECT_NE(pool.PeekPage(pages[0]), nullptr);
   EXPECT_NE(pool.PeekPage(pages[2]), nullptr);
@@ -253,11 +277,11 @@ TEST(ReadAheadTest, CursorTopsUpAndReadsTheWholeStageAhead) {
   EXPECT_EQ(pool.total_pins(), 0u);
 }
 
-TEST(ReadAheadTest, WindowZeroTurnsTheCursorOff) {
+TEST(ReadAheadTest, OffTurnsTheCursorOff) {
   MemoryDevice device;
   BufferPool pool(&device, 32);
   std::vector<PageId> pages = SeedPages(&pool, 4);
-  pool.set_read_ahead_window(0);
+  pool.set_read_ahead(false);
   std::vector<Oid> oids;
   for (PageId page : pages) oids.push_back(Oid(1, page, 0));
   ReadAheadCursor cursor(&pool, oids);
@@ -267,6 +291,89 @@ TEST(ReadAheadTest, WindowZeroTurnsTheCursorOff) {
   EXPECT_EQ(covered, 0u);
   EXPECT_EQ(pool.pages_cached(), 0u);
   EXPECT_EQ(pool.stats().batched_reads, 0u);
+  EXPECT_EQ(pool.stats().bytes_read, 0u);
+}
+
+// Every speculative read shares one budget: a stage's cursor, a record
+// file's scan and a B+-tree's leaf walk, run together, never hold more
+// unconsumed read-ahead pages than read_ahead_budget().
+TEST(ReadAheadTest, ScanTreeAndStageReadAheadShareOneBudget) {
+  MemoryDevice device;
+  BufferPool pool(&device, 64);
+  ASSERT_EQ(pool.read_ahead_budget(), 16u);
+  RecordFile file(&pool, 1);
+  for (int i = 0; i < 2000; ++i) {  // ~50 chain pages
+    Oid oid;
+    FR_ASSERT_OK(file.Insert(std::string(100, 'r'), &oid));
+  }
+  BTree tree(&pool);
+  FR_ASSERT_OK(tree.Init());
+  for (int64_t key = 0; key < 20000; ++key) {  // ~80 leaves, mostly in order
+    FR_ASSERT_OK(tree.Insert(key, Oid(2, 1, static_cast<uint16_t>(key))));
+  }
+  std::vector<PageId> stage = SeedPages(&pool, 60);
+  std::vector<Oid> stage_oids;
+  for (PageId page : stage) stage_oids.push_back(Oid(3, page, 0));
+
+  // A stage fills the budget; a scan that starts behind it adds nothing.
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(stage, &covered));
+  EXPECT_EQ(pool.read_ahead_pending(), 16u);
+  size_t peak = 0;
+  FR_ASSERT_OK(file.Scan([&](const Oid&, const std::string&) {
+    peak = std::max(peak, pool.read_ahead_pending());
+    return true;
+  }));
+  EXPECT_EQ(peak, 16u);
+  FR_ASSERT_OK(pool.EvictAll());
+  pool.ResetStats();
+
+  // The three paths at once, with a sampler watching the shared count.
+  std::atomic<bool> stop{false};
+  size_t max_pending = 0;  // the sampler's; read after it joins
+  std::thread sampler([&] {
+    while (!stop.load()) {
+      max_pending = std::max(max_pending, pool.read_ahead_pending());
+      std::this_thread::yield();
+    }
+  });
+  auto scans = [&] {
+    for (int round = 0; round < 5; ++round) {
+      EXPECT_TRUE(
+          file.Scan([](const Oid&, const std::string&) { return true; }).ok());
+    }
+  };
+  auto leaf_walks = [&] {
+    for (int round = 0; round < 5; ++round) {
+      EXPECT_TRUE(
+          tree.ScanRange(0, 19999, [](int64_t, Oid) { return true; }).ok());
+    }
+  };
+  auto stages = [&] {
+    for (int round = 0; round < 5; ++round) {
+      ReadAheadCursor cursor(&pool, stage_oids);
+      for (size_t i = 0; i < stage_oids.size(); ++i) {
+        cursor.Advance(i);
+        PageGuard guard;
+        EXPECT_TRUE(pool.FetchPage(stage_oids[i].page_id, &guard,
+                                   LatchMode::kShared)
+                        .ok());
+      }
+    }
+  };
+  std::thread a(scans), b(leaf_walks), c(stages);
+  a.join();
+  b.join();
+  c.join();
+  stop = true;
+  sampler.join();
+  pool.DrainAsyncIo();
+  // Pages were read ahead, and the three paths together stayed within
+  // the budget.
+  EXPECT_GT(pool.stats().batched_reads, 0u);
+  EXPECT_LE(max_pending, pool.read_ahead_budget());
+  EXPECT_LE(pool.read_ahead_pending(), pool.read_ahead_budget());
+  EXPECT_EQ(pool.total_pins(), 0u);
 }
 
 // --- Batched eviction write-back ------------------------------------------------
@@ -275,11 +382,14 @@ TEST(EvictionWriteBackTest, FailedVictimStaysDirtyAndResidentOthersLand) {
   MemoryDevice disk;
   FaultPlan plan;
   FaultInjectingDevice device(&disk, &plan);
-  BufferPool pool(&device, 4);
-  std::vector<PageId> pages = SeedPages(&pool, 12);
+  BufferPool pool(&device, 16);  // budget 4
+  std::vector<PageId> pages = SeedPages(&pool, 24);
+  // Twelve pinned frames leave four victim candidates.
+  std::vector<PageGuard> pins =
+      PinPages(&pool, std::span<const PageId>(pages).subspan(12));
 
-  // Four dirty, non-adjacent pages fill the pool, so each is a run of its
-  // own in the victims' write-back batch.
+  // Four dirty, non-adjacent pages fill the rest of the pool, so each is
+  // a run of its own in the victims' write-back batch.
   const std::vector<PageId> victims = {pages[0], pages[2], pages[4],
                                        pages[6]};
   for (size_t k = 0; k < victims.size(); ++k) {
@@ -293,8 +403,10 @@ TEST(EvictionWriteBackTest, FailedVictimStaysDirtyAndResidentOthersLand) {
 
   // Reading four other pages ahead claims all four dirty frames; their
   // write-backs go to the device together, and one of them fails.
-  Status s = pool.Prefetch(
-      std::vector<PageId>{pages[8], pages[9], pages[10], pages[11]});
+  size_t covered = 0;
+  Status s = pool.ReadAhead(
+      std::vector<PageId>{pages[8], pages[9], pages[10], pages[11]},
+      &covered);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find(StringPrintf("[%u]", victims[2])),
             std::string::npos)
@@ -311,6 +423,7 @@ TEST(EvictionWriteBackTest, FailedVictimStaysDirtyAndResidentOthersLand) {
   EXPECT_EQ(pool.stats().write_batches, 1u);
   EXPECT_EQ(pool.stats().batched_reads, 3u);
   EXPECT_EQ(pool.stats().read_batches, 1u);
+  pins.clear();
   EXPECT_EQ(pool.total_pins(), 0u);
 
   // No other victim's bytes were lost: they are on the device.
@@ -356,10 +469,13 @@ class RecordingObserver : public PageObserver {
 
 TEST(PrefetchTest, VictimSelectionHonoursNoStealVeto) {
   MemoryDevice device;
-  // 3 frames: one will hold an uncommitted dirty page, leaving two for
-  // the prefetch batch to fight over.
-  BufferPool pool(&device, 3);
-  std::vector<PageId> pages = SeedPages(&pool, 5);
+  // 16 frames (budget 4), 13 of them pinned: one will hold an
+  // uncommitted dirty page, leaving two for the read-ahead batch to fight
+  // over.
+  BufferPool pool(&device, 16);
+  std::vector<PageId> pages = SeedPages(&pool, 18);
+  std::vector<PageGuard> pins =
+      PinPages(&pool, std::span<const PageId>(pages).subspan(5));
 
   RecordingObserver observer;
   pool.SetObserver(&observer);
@@ -372,9 +488,9 @@ TEST(PrefetchTest, VictimSelectionHonoursNoStealVeto) {
 
   // Asking for 4 pages with only 2 stealable frames: the batch shrinks,
   // the protected dirty page stays resident and is NEVER flushed.
-  FR_ASSERT_OK(
-      pool.Prefetch(std::vector<PageId>{pages[1], pages[2], pages[3],
-                                        pages[4]}));
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(
+      std::vector<PageId>{pages[1], pages[2], pages[3], pages[4]}, &covered));
   EXPECT_NE(pool.PeekPage(pages[0]), nullptr);
   EXPECT_TRUE(observer.flushed().empty());
   EXPECT_LE(pool.stats().batched_reads, 2u);
@@ -386,8 +502,12 @@ TEST(PrefetchTest, VictimSelectionHonoursNoStealVeto) {
 
 TEST(PrefetchTest, DirtyVictimsFlushThroughObserverBeforeReuse) {
   MemoryDevice device;
-  BufferPool pool(&device, 2);
-  std::vector<PageId> pages = SeedPages(&pool, 4);
+  // 8 frames (budget 2), 6 of them pinned: the dirty page and one free
+  // frame are the only victims.
+  BufferPool pool(&device, 8);
+  std::vector<PageId> pages = SeedPages(&pool, 10);
+  std::vector<PageGuard> pins =
+      PinPages(&pool, std::span<const PageId>(pages).subspan(4));
 
   RecordingObserver observer;
   pool.SetObserver(&observer);
@@ -397,9 +517,11 @@ TEST(PrefetchTest, DirtyVictimsFlushThroughObserverBeforeReuse) {
   guard.MarkDirty();
   guard.Release();
 
-  // Prefetching two other pages must evict the dirty frame — and the
+  // Reading two other pages ahead must evict the dirty frame — and the
   // WAL ordering hook must run before its bytes reach the device.
-  FR_ASSERT_OK(pool.Prefetch(std::vector<PageId>{pages[1], pages[2]}));
+  size_t covered = 0;
+  FR_ASSERT_OK(
+      pool.ReadAhead(std::vector<PageId>{pages[1], pages[2]}, &covered));
   ASSERT_EQ(observer.flushed().size(), 1u);
   EXPECT_EQ(observer.flushed()[0], pages[0]);
   pool.SetObserver(nullptr);
@@ -425,7 +547,8 @@ TEST(PrefetchTest, CorruptBatchPageIsNotInstalledAndFetchReportsIt) {
   FR_ASSERT_OK(device.WritePage(pages[1], raw));
 
   // The batch read succeeds, but the corrupt page is silently dropped.
-  FR_ASSERT_OK(pool.Prefetch(pages));
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
   EXPECT_NE(pool.PeekPage(pages[0]), nullptr);
   EXPECT_EQ(pool.PeekPage(pages[1]), nullptr);
   EXPECT_NE(pool.PeekPage(pages[2]), nullptr);
@@ -451,9 +574,10 @@ TEST(PrefetchTest, DeviceErrorInstallsNothingAndLeaksNoFrames) {
   std::vector<PageId> pages = SeedPages(&pool, 4);
 
   plan.crashed = true;  // machine down: every read fails
-  // A prefetch is a hint: its failed reads abandon their claims, and the
+  // Read-ahead is a hint: its failed reads abandon their claims, and the
   // on-demand fetch reports the error.
-  FR_ASSERT_OK(pool.Prefetch(pages));
+  size_t covered = 0;
+  FR_ASSERT_OK(pool.ReadAhead(pages, &covered));
   EXPECT_EQ(pool.pages_cached(), 0u);
   EXPECT_EQ(pool.total_pins(), 0u);
   EXPECT_EQ(pool.stats().batched_reads, 0u);
@@ -517,7 +641,7 @@ struct ReadAheadCrashRig {
     options.device = &db_dev;
     options.wal_device = &log_dev;
     options.enable_wal = true;
-    options.read_ahead_window = 4;
+    options.read_ahead = true;
     auto db_or = Database::Open(options);
     EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
     return db_or.ok() ? std::move(db_or).value() : nullptr;
@@ -593,7 +717,7 @@ TEST(EvictAllTest, ErrorNamesThePinnedPage) {
 
 // --- Logical-I/O equivalence at the scan level -------------------------------
 
-TEST(ReadAheadScanTest, RecordFileScanLogicalIoIsWindowIndependent) {
+TEST(ReadAheadScanTest, RecordFileScanLogicalIoIsReadAheadIndependent) {
   MemoryDevice device;
   BufferPool pool(&device, 4096);
   RecordFile file(&pool, 1);
@@ -603,8 +727,8 @@ TEST(ReadAheadScanTest, RecordFileScanLogicalIoIsWindowIndependent) {
     FR_ASSERT_OK(file.Insert(payload, &oid));
   }
 
-  auto cold_scan_stats = [&](uint32_t window) {
-    pool.set_read_ahead_window(window);
+  auto cold_scan_stats = [&](bool read_ahead) {
+    pool.set_read_ahead(read_ahead);
     EXPECT_TRUE(pool.EvictAll().ok());
     pool.ResetStats();
     size_t count = 0;
@@ -617,8 +741,8 @@ TEST(ReadAheadScanTest, RecordFileScanLogicalIoIsWindowIndependent) {
     return pool.stats();
   };
 
-  IoStats with = cold_scan_stats(16);
-  IoStats without = cold_scan_stats(0);
+  IoStats with = cold_scan_stats(true);
+  IoStats without = cold_scan_stats(false);
   // The paper's cost unit must not notice the physical batching.
   EXPECT_EQ(with.disk_reads, without.disk_reads);
   EXPECT_EQ(with.disk_writes, without.disk_writes);

@@ -1,6 +1,6 @@
 // Asserts read-ahead's central invariant at full-query granularity: the
 // logical I/O counts MeasureQueryCosts reports (the paper's cost unit)
-// are byte-identical with read-ahead (stage cursors, scan windows,
+// are byte-identical with read-ahead (stage cursors, scan chains,
 // propagation batches, batched eviction write-back) on or off. Links the
 // bench harness so the assertion covers exactly the workload the
 // empirical benchmarks measure.
@@ -21,7 +21,7 @@ using ::fieldrep::bench::WorkloadOptions;
 MeasuredCosts MeasureWithReadAhead(const WorkloadOptions& base_options,
                                    bool read_ahead) {
   WorkloadOptions options = base_options;
-  options.read_ahead_window = read_ahead ? kDefaultReadAheadWindow : 0;
+  options.read_ahead = read_ahead;
   auto workload_or = BuildModelWorkload(options);
   EXPECT_TRUE(workload_or.ok()) << workload_or.status().ToString();
   if (!workload_or.ok()) return {};

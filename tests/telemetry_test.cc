@@ -156,12 +156,12 @@ TEST(MetricsRegistryTest, JsonRoundTripsThroughParseSamplesJson) {
 // Query tracing
 // ---------------------------------------------------------------------------
 
-// The read-ahead knobs reach every exposition (fieldrep_stats renders the
-// registry's text form): the scan window and the pool-wide budget.
-TEST(MetricsRegistryTest, DatabaseExposesReadAheadWindowAndBudget) {
+// The read-ahead settings reach every exposition (fieldrep_stats renders
+// the registry's text form): the on/off switch and the pool-wide budget.
+TEST(MetricsRegistryTest, DatabaseExposesReadAheadSwitchAndBudget) {
   auto db = OpenEmployeeDatabase(/*pool_frames=*/64);
   const std::string text = db->metrics()->RenderText();
-  EXPECT_NE(text.find("fieldrep_pool_read_ahead_window"), std::string::npos);
+  EXPECT_NE(text.find("fieldrep_pool_read_ahead_enabled"), std::string::npos);
   EXPECT_NE(text.find("fieldrep_pool_read_ahead_budget"), std::string::npos);
   EXPECT_NE(text.find("fieldrep_pool_read_batches_total"), std::string::npos);
   EXPECT_NE(text.find("fieldrep_pool_write_batches_total"), std::string::npos);
@@ -169,8 +169,7 @@ TEST(MetricsRegistryTest, DatabaseExposesReadAheadWindowAndBudget) {
   FR_ASSERT_OK(MetricsRegistry::ParseSamplesJson(db->MetricsJson(), &samples));
   std::map<std::string, double> gauges;
   for (const MetricSample& s : samples) gauges[s.name] = s.value;
-  EXPECT_EQ(gauges["fieldrep_pool_read_ahead_window"],
-            static_cast<double>(kDefaultReadAheadWindow));
+  EXPECT_EQ(gauges["fieldrep_pool_read_ahead_enabled"], 1.0);
   EXPECT_EQ(gauges["fieldrep_pool_read_ahead_budget"], 16.0);
 }
 

@@ -2,7 +2,7 @@
 // is a physical-scheduling choice only. For the empirical_io workloads the
 // logical I/O counts MeasureQueryCosts reports — the paper's cost unit —
 // must be byte-identical with the ring off or on, with or without
-// O_DIRECT, at any read-ahead window, and the query results themselves
+// O_DIRECT, with read-ahead on or off, and the query results themselves
 // must be equal row for row.
 
 #include <unistd.h>
@@ -60,7 +60,7 @@ MeasuredCosts MeasureOnCell(const WorkloadOptions& base_options,
                             const DeviceCell& cell) {
   WorkloadOptions options = base_options;
   ConfigureCell(cell, &options);
-  options.read_ahead_window = cell.read_ahead ? kDefaultReadAheadWindow : 0;
+  options.read_ahead = cell.read_ahead;
   auto workload_or = BuildModelWorkload(options);
   EXPECT_TRUE(workload_or.ok()) << workload_or.status().ToString();
   if (!workload_or.ok()) return {};

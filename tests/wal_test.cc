@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "storage/fault_injecting_device.h"
+#include "storage/file_device.h"
 #include "storage/memory_device.h"
 #include "test_util.h"
 #include "wal/log_reader.h"
@@ -14,8 +15,10 @@
 namespace fieldrep {
 namespace {
 
+using ::fieldrep::testing::ExpectCleanIntegrity;
 using ::fieldrep::testing::OpenEmployeeDatabase;
 using ::fieldrep::testing::PopulateEmployees;
+using ::fieldrep::testing::TraversePath;
 
 // ---------------------------------------------------------------------------
 // Record wire format
@@ -450,6 +453,57 @@ TEST(WalDatabaseTest, CheckpointTruncatesLogAndSurvivesReopen) {
   FR_ASSERT_OK(db->Get("Emp1", emp, &got));
 }
 
+// A clean close checkpoints: a deferred propagation still queued at
+// close is applied before the log is truncated, so after reopen the
+// replica agrees with the join and nothing is replayed. Without the
+// checkpoint the queue is lost at close and the replica stays stale.
+TEST(WalDatabaseTest, CleanCloseAppliesQueuedPropagationAndReplaysNothing) {
+  MemoryDevice disk, log;
+  Oid emp;
+  const std::string spec = "Emp1.dept.name";
+  {
+    auto db_or = Database::Open(WalMemoryOptions(&disk, &log));
+    FR_ASSERT_OK(db_or.status());
+    auto db = std::move(db_or).value();
+    FR_ASSERT_OK(db->DefineType(
+        TypeDescriptor("DEPT", {CharAttr("name", 20), Int32Attr("budget")})));
+    FR_ASSERT_OK(db->DefineType(TypeDescriptor(
+        "EMP", {CharAttr("name", 20), Int32Attr("salary"),
+                RefAttr("dept", "DEPT")})));
+    FR_ASSERT_OK(db->CreateSet("Dept", "DEPT"));
+    FR_ASSERT_OK(db->CreateSet("Emp1", "EMP"));
+    Oid dept;
+    FR_ASSERT_OK(db->Insert(
+        "Dept", Object(0, {Value("old"), Value(int32_t{1})}), &dept));
+    FR_ASSERT_OK(db->Insert(
+        "Emp1", Object(0, {Value("alice"), Value(int32_t{10}), Value(dept)}),
+        &emp));
+    ReplicateOptions deferred;
+    deferred.deferred = true;
+    FR_ASSERT_OK(db->Replicate(spec, deferred));
+    FR_ASSERT_OK(db->Update("Dept", dept, "name", Value("new")));
+    ASSERT_EQ(db->replication().pending_propagation_count(), 1u);
+  }  // clean close
+
+  auto db_or = Database::Open(WalMemoryOptions(&disk, &log));
+  FR_ASSERT_OK(db_or.status());
+  auto db = std::move(db_or).value();
+  EXPECT_EQ(db->recovery_stats().committed_txns, 0u);
+  EXPECT_EQ(db->recovery_stats().records_scanned, 0u);
+  const ReplicationPathInfo* path = db->catalog().FindPathBySpec(spec);
+  ASSERT_NE(path, nullptr);
+  Object head;
+  FR_ASSERT_OK(db->Get("Emp1", emp, &head));
+  const ReplicaValueSlot* slot = head.FindReplicaValues(path->id);
+  ASSERT_NE(slot, nullptr);
+  ASSERT_FALSE(slot->values.empty());
+  const Value joined = TraversePath(db.get(), "Emp1", emp, {"dept", "name"});
+  ASSERT_TRUE(joined.is_string());
+  EXPECT_EQ(joined.as_string().substr(0, 3), "new");
+  EXPECT_EQ(slot->values[0], joined);
+  ExpectCleanIntegrity(db.get());
+}
+
 TEST(WalDatabaseTest, GroupCommitSyncsLogBeforeAnyPageFlush) {
   MemoryDevice disk, log;
   auto db_or = Database::Open(
@@ -487,7 +541,20 @@ TEST(WalDatabaseTest, FileBackedEndToEnd) {
   options.enable_wal = true;
   Oid dept;
   {
-    auto db_or = Database::Open(options);
+    // The same two files, behind fault injection so the session can end
+    // in a crash rather than a clean close (which would checkpoint).
+    FileDevice db_file;
+    FileDevice wal_file;
+    FR_ASSERT_OK(db_file.Open(db_path));
+    FR_ASSERT_OK(wal_file.Open(wal_path));
+    FaultPlan plan;
+    FaultInjectingDevice db_dev(&db_file, &plan);
+    FaultInjectingDevice wal_dev(&wal_file, &plan);
+    Database::Options crash_options = options;
+    crash_options.file_path.clear();
+    crash_options.device = &db_dev;
+    crash_options.wal_device = &wal_dev;
+    auto db_or = Database::Open(crash_options);
     FR_ASSERT_OK(db_or.status());
     auto db = std::move(db_or).value();
     FR_ASSERT_OK(db->DefineType(TypeDescriptor(
@@ -497,13 +564,15 @@ TEST(WalDatabaseTest, FileBackedEndToEnd) {
         "Dept", Object(0, {Value("ops"), Value(int32_t{9})}), &dept));
     FR_ASSERT_OK(db->Checkpoint());
     FR_ASSERT_OK(db->Update("Dept", dept, "budget", Value(int32_t{11})));
-    // No checkpoint after the update: reopen must recover it from the
-    // .wal file.
+    // Power off after the update, before any checkpoint: reopen must
+    // recover it from the .wal file.
+    plan.crashed = true;
   }
   {
     auto db_or = Database::Open(options);
     FR_ASSERT_OK(db_or.status());
     auto db = std::move(db_or).value();
+    EXPECT_GE(db->recovery_stats().committed_txns, 1u);
     Object got;
     FR_ASSERT_OK(db->Get("Dept", dept, &got));
     EXPECT_EQ(got.field(1).as_int32(), 11);
